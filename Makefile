@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench perf perf-diff scale-smoke examples campaign-smoke faults-smoke telemetry-smoke ckpt-smoke fluid-smoke vfs-smoke ingest-smoke spans-smoke clean all
+.PHONY: install test bench perf perf-diff scale-smoke examples campaign-smoke faults-smoke telemetry-smoke ckpt-smoke fluid-smoke vfs-smoke ingest-smoke spans-smoke ledger-smoke clean all
 
 CAMPAIGN_CACHE ?= .campaign-cache
 # perf-diff gate: fail when a metric is more than this factor slower than
@@ -119,6 +119,12 @@ spans-smoke:
 		$(CAMPAIGN_CACHE).spans/escat.spans.jsonl --format chrome \
 		--out $(CAMPAIGN_CACHE).spans/escat.chrome.json
 	rm -rf $(CAMPAIGN_CACHE).spans
+
+# Ledger smoke: every benchmark workload at small scale, one round, with
+# its correctness gates, then the ledger's own tests.
+ledger-smoke:
+	PYTHONPATH=src:. python perfledger/ledger.py --smoke
+	PYTHONPATH=src:. python -m pytest perfledger/test_ledger.py -q
 
 # Ingest smoke: capture a trace, export it, re-ingest and replay it
 # through the CLI, then run it as a campaign trace axis.

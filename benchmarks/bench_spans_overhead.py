@@ -8,19 +8,21 @@ The spans subsystem's acceptance bars mirror telemetry's:
   1.0 (as with telemetry, the off path *is* the baseline — the checks
   cannot be compiled out);
 * **cheap when on** — recording full causal span trees must keep
-  paper-scale ESCAT overhead at or below 10% (x1.10).  Three design
-  decisions carry this bar: ``op.*`` root spans are never recorded
-  during the run at all (they are synthesized at finalize from the
-  Pablo trace's columnar events), hot hook sites stage flat
-  fixed-width records into ``array('d')`` buffers whose parents are
-  resolved vectorially by timestamp containment, and finalize itself
-  is deferred until the first consumer touches ``recorder.store`` —
-  so none of its expansion work lands inside the timed run window.
+  paper-scale ESCAT overhead at or below 10% (x1.10).  Two design
+  decisions keep the run itself cheap: ``op.*`` root spans are never
+  recorded during the run at all (they are synthesized at finalize
+  from the Pablo trace's columnar events), and hot hook sites stage
+  flat fixed-width records into ``array('d')`` buffers whose parents
+  are resolved vectorially by timestamp containment.  Finalize is
+  deferred until the first consumer touches ``recorder.store``, so
+  the spans-on timed window ends by reading ``len(store)``: the
+  figure includes the expansion work the run defers, and every
+  consumer of a span tree pays it.
 
 Measured quantities:
 
 * **run cost per app, off vs on** — interleaved `Experiment.run()`
-  pairs for each small-scale app;
+  pairs for each small-scale app, spans-on including finalize;
 * **paper-scale ESCAT, off vs on** — the x1.10 acceptance number;
 * **store-append microbench** — raw ``SpanStore.add`` throughput, the
   per-span price of a direct (low-rate) hook.
@@ -77,13 +79,14 @@ def paired_wall_time(app: str, repeats: int = 3, scale: str = "small"):
             gc.disable()
             t0 = time.process_time()
             result = build(app, spans=config).run()
+            if config is not None:
+                spans = len(result.spans.store)  # runs the deferred finalize
             elapsed = time.process_time() - t0
             gc.enable()
             if config is None:
                 best_off = min(best_off, elapsed)
             else:
                 best_on = min(best_on, elapsed)
-                spans = len(result.spans.store)
     return best_off, best_on, spans
 
 
@@ -112,8 +115,11 @@ def test_spans_off_wall_time(benchmark):
 
 
 def test_spans_on_wall_time(benchmark):
-    result = benchmark(lambda: small_experiment("escat", spans=True).run())
-    assert len(result.spans.store) > 0
+    def run_and_finalize():
+        result = small_experiment("escat", spans=True).run()
+        return len(result.spans.store)
+
+    assert benchmark(run_and_finalize) > 0
 
 
 # -- script entry (CI perf-smoke, `make perf`) ---------------------------------
@@ -157,11 +163,12 @@ def main(argv=None) -> str:
             "on_s": round(on, 4),
             "spans": spans,
             "overhead_ratio": round(ratio, 4),
+            "within_acceptance": ratio <= ACCEPTANCE_RATIO,
         }
         lines.append(
             f"paper escat: off {off:.4f}s  on {on:.4f}s "
             f"(x{ratio:.3f}, {spans:,} spans; acceptance <= "
-            f"{ACCEPTANCE_RATIO:g})"
+            f"{ACCEPTANCE_RATIO:g}{'' if ratio <= ACCEPTANCE_RATIO else ', NOT MET'})"
         )
 
     emit("spans_overhead", "\n".join(lines))

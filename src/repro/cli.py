@@ -699,7 +699,7 @@ def _load_spans_capture(path: str):
 
     try:
         return load_jsonl(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"bad spans capture: {exc}", file=sys.stderr)
         return None
 

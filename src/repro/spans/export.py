@@ -9,12 +9,23 @@ are microseconds of simulated time.
 The same low-level writer is reused by ``repro telemetry export
 --format chrome`` to render sampled time series as counter ("C")
 events, so spans and telemetry land in one Perfetto timeline.
+
+Both span writers format straight from the store's columns: each column
+is converted to Python values once, per-kind values (escaped name,
+Chrome pid, instant-vs-complete) are resolved once per kind code, and
+the output is assembled in one string-formatting pass.  The bytes are
+exactly what ``json.dumps`` writes for the equivalent per-span dicts —
+same key order, floats as ``float.__repr__``, non-finite values as
+``NaN``/``Infinity``/``-Infinity``, kinds escaped with ``ensure_ascii``.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .store import SpanStore
 
@@ -83,63 +94,95 @@ def chrome_trace_json(events: Iterable[Mapping]) -> str:
     return json.dumps(chrome_trace(events), separators=(",", ":"))
 
 
+def _ints(column: np.ndarray) -> list[int]:
+    return column.astype(np.int64).tolist()
+
+
+def _float_literals(column: np.ndarray) -> list[str]:
+    """Each value spelled as ``json.dumps`` writes it.
+
+    Span columns repeat values heavily (shared boundaries, constant
+    ``aux``), so each distinct value is formatted once.  Distinct means
+    distinct bit pattern: ``-0.0`` and ``0.0`` keep their own spellings.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    literals = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        literals[i] = json.dumps(float(values[i]))
+    return np.array(literals, dtype=object)[inverse].tolist()
+
+
 def to_chrome(store: SpanStore) -> dict:
     """Span store -> Chrome trace object (one track per node/ionode/disk)."""
-    events: list[dict] = []
-    seen_threads: set[tuple[int, int]] = set()
-    for span in store.iter_spans():
-        kind = span["kind"]
-        pid = _kind_pid(kind)
-        tid = max(span["node"], 0)
-        seen_threads.add((pid, tid))
-        ts = span["start"] * _US
-        if kind.startswith("mark."):
-            events.append(
-                {"name": kind, "ph": "i", "s": "g", "ts": ts, "pid": pid, "tid": tid}
-            )
-            continue
-        events.append(
-            {
-                "name": kind,
-                "ph": "X",
-                "ts": ts,
-                "dur": max(span["end"] - span["start"], 0.0) * _US,
-                "pid": pid,
-                "tid": tid,
-                "args": {
-                    "id": span["id"],
-                    "parent": span["parent"],
-                    "nbytes": span["nbytes"],
-                    "aux": span["aux"],
-                },
-            }
-        )
-    meta: list[dict] = []
-    for pid in sorted({pid for pid, _ in seen_threads}):
-        meta.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": _PROCESS_NAMES.get(pid, f"pid {pid}")},
-            }
-        )
-    for pid, tid in sorted(seen_threads):
-        meta.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": _thread_label(pid, tid)},
-            }
-        )
-    return chrome_trace(meta + events)
+    return json.loads(to_chrome_json(store))
 
 
 def to_chrome_json(store: SpanStore) -> str:
-    return json.dumps(to_chrome(store), separators=(",", ":"))
+    """Span store -> Chrome trace-event JSON: thread/process metadata
+    first, then one instant ("i") event per ``mark.*`` span and one
+    complete ("X") event per other span, in span-id order."""
+    kinds = store.kinds
+    names = [json.dumps(kind) for kind in kinds]
+    pids = [_kind_pid(kind) for kind in kinds]
+    marks = [kind.startswith("mark.") for kind in kinds]
+
+    codes = store.column("kind").astype(np.int64)
+    tids = np.maximum(store.column("node").astype(np.int64), 0)
+    start = store.column("start")
+    # IEEE results (inf - inf = nan, overflow to inf) as Python floats give them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        ts = start * _US
+        length = store.column("end") - start
+        # where(d < 0, 0, d) is Python's max(d, 0.0), -0.0 and NaN included.
+        dur = np.where(length < 0, 0.0, length) * _US
+    row_pids = np.asarray(pids, dtype=np.int64)[codes]
+    used_pids = np.unique(row_pids).tolist()
+    threads = [
+        (pid, tid)
+        for pid in used_pids
+        for tid in np.unique(tids[row_pids == pid]).tolist()
+    ]
+
+    meta = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": _PROCESS_NAMES.get(pid, f"pid {pid}")},
+        }
+        for pid in used_pids
+    ] + [
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": _thread_label(pid, tid)},
+        }
+        for pid, tid in threads
+    ]
+    parts = [json.dumps(event, separators=(",", ":")) for event in meta]
+    parts += [
+        f'{{"name":{names[code]},"ph":"i","s":"g","ts":{ts},'
+        f'"pid":{pids[code]},"tid":{tid}}}'
+        if marks[code]
+        else f'{{"name":{names[code]},"ph":"X","ts":{ts},"dur":{dur},'
+        f'"pid":{pids[code]},"tid":{tid},'
+        f'"args":{{"id":{sid},"parent":{parent},"nbytes":{nbytes},"aux":{aux}}}}}'
+        for sid, code, tid, ts, dur, parent, nbytes, aux in zip(
+            range(len(store)),
+            codes.tolist(),
+            tids.tolist(),
+            _float_literals(ts),
+            _float_literals(dur),
+            _ints(store.column("parent")),
+            _ints(store.column("nbytes")),
+            _float_literals(store.column("aux")),
+        )
+    ]
+    return '{"traceEvents":[' + ",".join(parts) + '],"displayTimeUnit":"ms"}'
 
 
 def telemetry_counter_events(data: Mapping, pid: int = _PID_TELEMETRY) -> list[dict]:
@@ -189,37 +232,69 @@ def telemetry_counter_events(data: Mapping, pid: int = _PID_TELEMETRY) -> list[d
 # -- JSONL round trip ---------------------------------------------------------
 def to_jsonl(store: SpanStore) -> str:
     """One meta line, then one line per span; bit-exact round trip."""
+    meta = json.dumps(
+        {"kind": "meta", "format": "repro.spans", "version": 1, "count": len(store)},
+        separators=(",", ":"),
+    )
+    names = [json.dumps(kind) for kind in store.kinds]
     lines = [
-        json.dumps(
-            {"kind": "meta", "format": "repro.spans", "version": 1, "count": len(store)},
-            separators=(",", ":"),
+        f'{{"id":{sid},"parent":{parent},"node":{node},"start":{start},"end":{end},'
+        f'"nbytes":{nbytes},"aux":{aux},"kind":"span","span":{names[code]}}}\n'
+        for sid, parent, code, node, start, end, nbytes, aux in zip(
+            range(len(store)),
+            _ints(store.column("parent")),
+            _ints(store.column("kind")),
+            _ints(store.column("node")),
+            _float_literals(store.column("start")),
+            _float_literals(store.column("end")),
+            _ints(store.column("nbytes")),
+            _float_literals(store.column("aux")),
         )
     ]
-    for span in store.iter_spans():
-        record = dict(span)
-        record["kind"], record["span"] = "span", record.pop("kind")
-        lines.append(json.dumps(record, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    return meta + "\n" + "".join(lines)
+
+
+#: Numeric JSONL span fields, in :meth:`SpanStore.extend_coded` order.
+_NUMERIC_FIELDS = ("parent", "node", "start", "end", "nbytes", "aux")
+_numeric_values = operator.itemgetter(*_NUMERIC_FIELDS)
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def from_jsonl(text: str) -> SpanStore:
+    """Parse a :func:`to_jsonl` capture; a malformed line raises
+    ``ValueError("line N: ...")``."""
     store = SpanStore()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    codes: list[int] = []
+    numbers: list = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if type(record) is not dict:
+            raise ValueError(f"line {lineno}: expected a JSON object, got {record!r:.40}")
         if record.get("kind") != "span":
             continue
-        store.add(
-            record["span"],
-            record["node"],
-            record["start"],
-            record["end"],
-            record["parent"],
-            record["nbytes"],
-            record["aux"],
-        )
+        try:
+            kind = record["span"]
+            values = _numeric_values(record)
+        except KeyError as exc:
+            raise ValueError(f"line {lineno}: span has no {exc.args[0]!r} field") from None
+        if type(kind) is not str:
+            raise ValueError(f"line {lineno}: span kind must be a string, got {kind!r}")
+        if not _NUMBER_TYPES.issuperset(map(type, values)):
+            name, value = next(
+                (name, value)
+                for name, value in zip(_NUMERIC_FIELDS, values)
+                if type(value) not in _NUMBER_TYPES
+            )
+            raise ValueError(f"line {lineno}: {name} must be a number, got {value!r}")
+        codes.append(store.kind_code(kind))
+        numbers.extend(values)
+    block = np.array(numbers, dtype=np.float64).reshape(-1, len(_NUMERIC_FIELDS))
+    store.extend_coded(np.array(codes, dtype=np.float64), *block.T)
     return store
 
 

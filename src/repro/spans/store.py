@@ -259,8 +259,26 @@ class SpanStore:
         }
 
     def iter_spans(self) -> Iterator[dict]:
-        for sid in range(self._count):
-            yield self.span(sid)
+        """Every span as :meth:`span` returns it, columns converted once."""
+        rows = self.rows
+        kinds = self._kinds
+        parents, codes, nodes, nbytes = (
+            rows[:, [_PARENT, _KIND, _NODE, _NBYTES]].astype(np.int64).T.tolist()
+        )
+        starts, ends, auxs = rows[:, [_START, _END, _AUX]].T.tolist()
+        for sid, parent, code, node, start, end, size, aux in zip(
+            range(len(rows)), parents, codes, nodes, starts, ends, nbytes, auxs
+        ):
+            yield {
+                "id": sid,
+                "parent": parent,
+                "kind": kinds[code],
+                "node": node,
+                "start": start,
+                "end": end,
+                "nbytes": size,
+                "aux": aux,
+            }
 
     def children_index(self) -> dict[int, list[int]]:
         """parent id -> list of direct child ids (roots under -1)."""
@@ -283,7 +301,7 @@ class SpanStore:
         return {
             "columns": list(COLUMNS),
             "kinds": list(self._kinds),
-            "rows": [[float(x) for x in row] for row in self.rows],
+            "rows": self.rows.tolist(),
         }
 
     @classmethod
@@ -294,13 +312,12 @@ class SpanStore:
         columns = data.get("columns", list(COLUMNS))
         if list(columns) != list(COLUMNS):
             raise ValueError(f"unknown span columns: {columns!r}")
-        for row in data["rows"]:
-            n = store._count
-            if n == store._buffer.shape[0]:
-                store._grow(n)
-            store._buffer[n] = row
-            store._count = n + 1
-        store._frozen = None
+        rows = data["rows"]
+        for i, row in enumerate(rows):
+            if len(row) != _NCOL:
+                raise ValueError(f"span row {i} has {len(row)} values, expected {_NCOL}")
+        block = np.array(rows, dtype=np.float64).reshape(-1, _NCOL)
+        store.extend_coded(block[:, _KIND], block[:, _PARENT], *block[:, _NODE:].T)
         return store
 
     def summary(self) -> dict:

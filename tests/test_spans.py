@@ -9,6 +9,7 @@ the other half of the contract: recording is read-only, so traces are
 byte-identical with spans on or off in scalar, batched and fluid modes.
 """
 
+import hashlib
 import json
 import os
 
@@ -29,7 +30,13 @@ from repro.spans import (
     to_chrome_json,
     to_jsonl,
 )
-from repro.spans.export import chrome_trace_json, telemetry_counter_events
+from repro.spans.export import (
+    _PROCESS_NAMES,
+    _kind_pid,
+    _thread_label,
+    chrome_trace_json,
+    telemetry_counter_events,
+)
 
 APPS = ("escat", "render", "htf", "checkpoint")
 
@@ -129,6 +136,12 @@ class TestSpanStore:
         back = SpanStore.from_dict(store.as_dict())
         assert back.content_hash() == store.content_hash()
         assert list(back.kinds) == list(store.kinds)
+        assert list(back.iter_spans()) == [store.span(i) for i in range(len(store))]
+
+    def test_from_dict_rejects_bad_row_width(self):
+        data = {"kinds": ["op.read"], "rows": [[-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0] * 6]}
+        with pytest.raises(ValueError, match="row 1 has 6 values"):
+            SpanStore.from_dict(data)
 
 
 # -- recorded-tree invariants -------------------------------------------------
@@ -322,6 +335,153 @@ class TestSpansAreInvisible:
 
 
 # -- exporters ---------------------------------------------------------------
+def reference_to_jsonl(store):
+    """The per-span JSONL writer the columnar one must match byte for byte."""
+    lines = [
+        json.dumps(
+            {"kind": "meta", "format": "repro.spans", "version": 1, "count": len(store)},
+            separators=(",", ":"),
+        )
+    ]
+    for sid in range(len(store)):
+        record = store.span(sid)
+        record["kind"], record["span"] = "span", record.pop("kind")
+        lines.append(json.dumps(record, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+def reference_to_chrome_json(store):
+    """The per-span Chrome writer the columnar one must match byte for byte."""
+    events = []
+    seen_threads = set()
+    for sid in range(len(store)):
+        span = store.span(sid)
+        kind = span["kind"]
+        pid = _kind_pid(kind)
+        tid = max(span["node"], 0)
+        seen_threads.add((pid, tid))
+        ts = span["start"] * 1e6
+        if kind.startswith("mark."):
+            events.append(
+                {"name": kind, "ph": "i", "s": "g", "ts": ts, "pid": pid, "tid": tid}
+            )
+            continue
+        events.append(
+            {
+                "name": kind,
+                "ph": "X",
+                "ts": ts,
+                "dur": max(span["end"] - span["start"], 0.0) * 1e6,
+                "pid": pid,
+                "tid": tid,
+                "args": {
+                    "id": span["id"],
+                    "parent": span["parent"],
+                    "nbytes": span["nbytes"],
+                    "aux": span["aux"],
+                },
+            }
+        )
+    meta = []
+    for pid in sorted({pid for pid, _ in seen_threads}):
+        meta.append(
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": _PROCESS_NAMES.get(pid, f"pid {pid}")},
+            }
+        )
+    for pid, tid in sorted(seen_threads):
+        meta.append(
+            {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": tid,
+                "args": {"name": _thread_label(pid, tid)},
+            }
+        )
+    return json.dumps(
+        {"traceEvents": meta + events, "displayTimeUnit": "ms"}, separators=(",", ":")
+    )
+
+
+#: Every pid lane, instant marks, and kinds that need JSON escaping.
+_EXPORT_KINDS = (
+    "op.read", "ion.request", "disk.seek", "raid.rebuild", "wb.flush", "bb.drain",
+    "fluid.plan", "fault.retry", "mark.phase2", 'we"ird\\kind', "kïnd→é",
+)
+_SPECIAL_FLOATS = (0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300)
+
+
+@st.composite
+def export_store(draw):
+    """Stores with open spans (end=-1), -0.0, NaN, +-inf and escaped kinds."""
+    store = SpanStore()
+    floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(_EXPORT_KINDS))
+        node = draw(st.integers(-1, 9))
+        start = draw(floats)
+        parent = draw(st.integers(-1, len(store) - 1))
+        nbytes = draw(st.integers(0, 1 << 40))
+        aux = draw(floats)
+        if draw(st.booleans()):
+            store.begin(kind, node, start, parent=parent, nbytes=nbytes, aux=aux)
+        else:
+            store.add(kind, node, start, draw(floats), parent=parent, nbytes=nbytes, aux=aux)
+    return store
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+#: sha256 prefixes of (to_jsonl, to_chrome_json) for each small-scale app.
+EXPORT_PINS = {
+    "escat": ("3d9d693f8b2dd6ec", "3ce554ce1915297f"),
+    "render": ("56e9f73d93cdbc12", "31e0de0d1ad56a0e"),
+    "htf": ("4f885a4fcbcbe5c1", "bd84582c547333be"),
+    "checkpoint": ("cecb16321748deb2", "451be7d9cc2662bb"),
+}
+
+
+class TestColumnarWriters:
+    @given(export_store())
+    @settings(max_examples=200, deadline=None)
+    def test_match_reference_writers(self, store):
+        assert to_jsonl(store) == reference_to_jsonl(store)
+        assert to_chrome_json(store) == reference_to_chrome_json(store)
+
+    def test_edge_values(self):
+        store = SpanStore()
+        store.add("op.read", 2, 0.0, -0.0, aux=-0.0)  # dur is -0.0
+        store.begin("ion.request", -1, 3.5, parent=0)  # open: dur clamps to 0
+        store.add("mark.phase2", -1, float("nan"), float("nan"), aux=float("inf"))
+        store.add('we"ird\\kind', 1, float("-inf"), float("inf"), aux=float("-inf"))
+        store.add("kïnd→é", 4, 1e300, 5e-324, nbytes=1 << 40, aux=float("nan"))
+        assert to_jsonl(store) == reference_to_jsonl(store)
+        assert to_chrome_json(store) == reference_to_chrome_json(store)
+
+    def test_empty_store(self):
+        store = SpanStore()
+        assert to_jsonl(store) == reference_to_jsonl(store)
+        assert to_chrome_json(store) == reference_to_chrome_json(store)
+        assert to_chrome(store) == {"traceEvents": [], "displayTimeUnit": "ms"}
+        assert len(from_jsonl(to_jsonl(store))) == 0
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_small_scale_exports_are_pinned(self, recorded, app):
+        store = recorded[app].spans.store
+        assert (_sha(to_jsonl(store)), _sha(to_chrome_json(store))) == EXPORT_PINS[app]
+
+    def test_to_chrome_is_the_parsed_json(self, recorded):
+        store = recorded["escat"].spans.store
+        assert to_chrome(store) == json.loads(reference_to_chrome_json(store))
+
+
 class TestChromeExport:
     def test_valid_trace_event_json(self, recorded):
         store = recorded["escat"].spans.store
@@ -363,17 +523,46 @@ class TestChromeExport:
         json.loads(chrome_trace_json(events))  # must be valid JSON
 
 
+_META = '{"kind":"meta","format":"repro.spans","version":1,"count":1}'
+_SPAN = (
+    '{"id":0,"parent":-1,"node":%s,"start":0.0,"end":1.0,"nbytes":0,'
+    '"aux":0.0,"kind":"span","span":%s}'
+)
+
+#: Malformed captures: (text, the error it must name).
+MALFORMED = {
+    "string-node": (_META + "\n" + _SPAN % ('"x"', '"op.read"'), "line 2: node must be a number"),
+    "top-level-list": (_META + "\n\n[1,2]", "line 3: expected a JSON object"),
+    "numeric-kind": (_META + "\n" + _SPAN % ("0", "5"), "line 2: span kind must be a string"),
+    "missing-field": (
+        _META + '\n{"id":0,"node":0,"start":0.0,"end":1.0,"nbytes":0,"aux":0.0,'
+        '"kind":"span","span":"op.read"}',
+        "line 2: span has no 'parent' field",
+    ),
+    "bool-field": (_META + "\n" + _SPAN % ("true", '"op.read"'), "line 2: node must be a number"),
+    "bad-json": (_META + '\n{"kind":"span",', "line 2: "),
+}
+
+
 class TestJsonlRoundTrip:
     def test_bit_exact(self, recorded):
-        store = recorded["render"].spans.store
-        back = from_jsonl(to_jsonl(store))
-        assert back.content_hash() == store.content_hash()
+        for app in APPS:
+            store = recorded[app].spans.store
+            back = from_jsonl(to_jsonl(store))
+            assert back.content_hash() == store.content_hash(), app
 
     def test_load_jsonl(self, recorded, tmp_path):
         store = recorded["render"].spans.store
         path = tmp_path / "x.spans.jsonl"
         path.write_text(to_jsonl(store))
         assert load_jsonl(path).content_hash() == store.content_hash()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_line_is_a_typed_error(self, case):
+        text, message = MALFORMED[case]
+        with pytest.raises(ValueError) as info:
+            from_jsonl(text)
+        assert str(info.value).startswith(message)
 
 
 # -- experiment / campaign wiring ---------------------------------------------
@@ -458,6 +647,18 @@ class TestSpansCLI:
                      "--out", str(out_path)]) == 0
         data = json.loads(out_path.read_text())
         assert data["traceEvents"]
+
+    @pytest.mark.parametrize("command", ("report", "show", "export", "critical-path"))
+    @pytest.mark.parametrize("case", ("string-node", "top-level-list", "numeric-kind"))
+    def test_malformed_capture_exits_2(self, tmp_path, capsys, command, case):
+        from repro.cli import main
+
+        text, message = MALFORMED[case]
+        path = tmp_path / "bad.spans.jsonl"
+        path.write_text(text)
+        assert main(["spans", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad spans capture: {message}" in err
 
     def test_telemetry_export_chrome(self, tmp_path, capsys):
         from repro.cli import main
