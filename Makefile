@@ -126,12 +126,17 @@ ledger-smoke:
 	PYTHONPATH=src:. python perfledger/ledger.py --smoke
 	PYTHONPATH=src:. python -m pytest perfledger/test_ledger.py -q
 
-# Ingest smoke: capture a trace, export it, re-ingest and replay it
-# through the CLI, then run it as a campaign trace axis.
+# Ingest smoke: capture a trace, export it, convert it back to SDDF and
+# characterize both SDDF files, re-ingest and replay it through the CLI,
+# then run it as a campaign trace axis.
 ingest-smoke:
 	PYTHONPATH=src python -m repro run escat --save-dir $(CAMPAIGN_CACHE).ingest
 	PYTHONPATH=src python -m repro ingest convert \
 		$(CAMPAIGN_CACHE).ingest/escat.sddf $(CAMPAIGN_CACHE).ingest/escat.jsonl
+	PYTHONPATH=src python -m repro ingest convert \
+		$(CAMPAIGN_CACHE).ingest/escat.jsonl $(CAMPAIGN_CACHE).ingest/escat.rt.sddf
+	PYTHONPATH=src python -m repro characterize $(CAMPAIGN_CACHE).ingest/escat.sddf
+	PYTHONPATH=src python -m repro characterize $(CAMPAIGN_CACHE).ingest/escat.rt.sddf
 	PYTHONPATH=src python -m repro ingest replay \
 		$(CAMPAIGN_CACHE).ingest/escat.jsonl --think anchor
 	PYTHONPATH=src python -m repro campaign run --name ingest-smoke \

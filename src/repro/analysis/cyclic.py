@@ -111,25 +111,31 @@ def reuse_intervals(
     data = ev[np.isin(ev["op"], [int(Op.READ), int(Op.AREAD), int(Op.WRITE)])]
     if file_id is not None:
         data = data[data["file_id"] == file_id]
-    last_touch: dict[tuple[int, int], float] = {}
-    intervals: list[float] = []
-    first = 0
-    order = np.argsort(data["timestamp"], kind="stable")
-    for row in data[order]:
-        t = float(row["timestamp"])
-        start_region = int(row["offset"]) // region_bytes
-        end_region = int(row["offset"] + max(row["nbytes"], 1) - 1) // region_bytes
-        for region in range(start_region, end_region + 1):
-            key = (int(row["file_id"]), region)
-            prev = last_touch.get(key)
-            if prev is None:
-                first += 1
-            else:
-                intervals.append(t - prev)
-            last_touch[key] = t
-    arr = np.asarray(intervals) if intervals else np.zeros(0)
+    data = data[np.argsort(data["timestamp"], kind="stable")]
+    # Expand each row into its (file, region) touches, in the order a
+    # row-by-row walk would visit them: rows by time, regions ascending.
+    first_region = data["offset"] // region_bytes
+    last_region = (data["offset"] + np.maximum(data["nbytes"], 1) - 1) // region_bytes
+    counts = last_region - first_region + 1
+    row = np.repeat(np.arange(len(data)), counts)
+    position = np.arange(len(row))
+    region = first_region[row] + (position - (np.cumsum(counts) - counts)[row])
+    fid = data["file_id"][row]
+    t = data["timestamp"][row]
+    # A touch's previous touch of its key is its neighbour in a sort by
+    # (file, region, position).
+    by_key = np.lexsort((position, region, fid))
+    same = (fid[by_key[1:]] == fid[by_key[:-1]]) & (region[by_key[1:]] == region[by_key[:-1]])
+    later, earlier = by_key[1:][same], by_key[:-1][same]
+    prev_t = np.empty_like(t)
+    prev_t[later] = t[earlier]
+    is_reuse = np.zeros(len(t), dtype=bool)
+    is_reuse[later] = True
+    # Keep walk order: the mean then sums the intervals in the walk's order.
+    arr = t[is_reuse] - prev_t[is_reuse]
+    first = len(t) - len(arr)
     return ReuseStats(
-        n_reuses=len(intervals),
+        n_reuses=len(arr),
         n_first_touches=first,
         mean_interval_s=float(arr.mean()) if len(arr) else 0.0,
         median_interval_s=float(np.median(arr)) if len(arr) else 0.0,

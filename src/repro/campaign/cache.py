@@ -43,9 +43,15 @@ class ResultCache:
         """True iff a complete entry exists (metrics.json is written last)."""
         return os.path.isfile(os.path.join(self.entry_dir(run_hash), _METRICS))
 
-    def load_metrics(self, run_hash: str) -> dict[str, Any]:
-        with open(os.path.join(self.entry_dir(run_hash), _METRICS)) as fh:
-            return json.load(fh)
+    def load_metrics(self, run_hash: str) -> Optional[dict[str, Any]]:
+        """The entry's metrics, or ``None`` when it is missing or its
+        ``metrics.json`` does not parse (e.g. a truncated file)."""
+        try:
+            with open(os.path.join(self.entry_dir(run_hash), _METRICS)) as fh:
+                metrics = json.load(fh)
+        except (OSError, ValueError):
+            return None
+        return metrics if isinstance(metrics, dict) else None
 
     def load_spec(self, run_hash: str) -> Optional[RunSpec]:
         path = os.path.join(self.entry_dir(run_hash), _SPEC)

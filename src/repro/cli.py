@@ -548,6 +548,9 @@ def _cmd_campaign_status(args) -> int:
         spec = cache.load_spec(run_hash)
         metrics = cache.load_metrics(run_hash)
         label = spec.label() if spec else "?"
+        if metrics is None:
+            print(f"  {run_hash}  {label:<30} unreadable metrics.json")
+            continue
         line = (f"  {run_hash}  {label:<30} makespan {metrics['makespan_s']:>10.2f}s  "
                 f"io {metrics['io_node_time_s']:>10.2f}s  {metrics['events']:>7,} events")
         ckpt = metrics.get("checkpoint")

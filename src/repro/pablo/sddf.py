@@ -10,34 +10,81 @@ Two encodings are provided, as in Pablo:
 
 * **ASCII** — descriptors and records in a human-readable bracketed
   syntax; diff-able and greppable.
-* **Binary** — little-endian struct packing with a tag byte per record;
+* **Binary** — little-endian packing with a kind byte and tag per record;
   compact and fast.
 
 Both round-trip exactly (property-tested).  Field types: ``double``
 (float64), ``int`` (int32), ``long`` (int64), ``string`` (UTF-8).
+
+A descriptor without a ``string`` field has a fixed binary width, so a
+run of its records is one packed NumPy block
+(:attr:`RecordDescriptor.packed`): the writer fills the block column by
+column and the reader views it in place.  Records of descriptors with a
+string field are packed field by field.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, BinaryIO, Iterable, Optional, Sequence, Union
 
-__all__ = ["Field", "RecordDescriptor", "SDDFWriter", "SDDFReader", "SDDFError"]
+import numpy as np
+
+__all__ = [
+    "Field",
+    "RecordDescriptor",
+    "SDDFWriter",
+    "SDDFReader",
+    "SDDFError",
+    "fit_column",
+]
 
 _MAGIC = b"SDDFB\x01"
 
+#: type name -> (little-endian NumPy dtype, Python coercion)
 _TYPES = {
-    "double": ("d", float),
-    "int": ("i", int),
-    "long": ("q", int),
+    "double": ("<f8", float),
+    "int": ("<i4", int),
+    "long": ("<i8", int),
     "string": (None, str),
 }
+
+#: Records per window when scanning for the end of a packed run.  The
+#: window doubles, so finding a run of n records costs O(n).
+_RUN_WINDOW = 256
 
 
 class SDDFError(ValueError):
     """Malformed SDDF stream or descriptor misuse."""
+
+
+def fit_column(
+    name: str, values: Union[np.ndarray, Sequence[Any]], dtype: Any
+) -> np.ndarray:
+    """``values`` cast to the numeric ``dtype``.
+
+    Raises :class:`SDDFError` naming field ``name`` when an integer value
+    falls outside ``dtype`` (checked once, on the column's min and max) or
+    when an array holds values of a kind ``dtype`` cannot take.
+    """
+    dtype = np.dtype(dtype)
+    integral = dtype.kind in "iu"
+    is_array = isinstance(values, np.ndarray)
+    if is_array and values.dtype.kind not in ("biu" if integral else "biuf"):
+        raise SDDFError(f"field {name!r}: cannot store {values.dtype} values as {dtype}")
+    if integral and len(values):
+        if is_array:
+            lo, hi = int(values.min()), int(values.max())
+        else:
+            lo, hi = min(values), max(values)
+        info = np.iinfo(dtype)
+        if lo < info.min or hi > info.max:
+            bad = lo if lo < info.min else hi
+            raise SDDFError(f"field {name!r}: {bad} does not fit {dtype}")
+    return np.asarray(values, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -76,6 +123,22 @@ class RecordDescriptor:
         """Convenience constructor from (name, type) pairs."""
         return RecordDescriptor(name, tuple(Field(n, t) for n, t in fields), tag)
 
+    @cached_property
+    def dtype(self) -> Optional[np.dtype]:
+        """One record's fields as a structured dtype named after them, or
+        ``None`` when a field is a string (the record has no fixed width)."""
+        if any(f.type == "string" for f in self.fields):
+            return None
+        return np.dtype([(f.name, _TYPES[f.type][0]) for f in self.fields])
+
+    @cached_property
+    def packed(self) -> Optional[np.dtype]:
+        """One binary record: kind byte ``b"R"``, ``<i4`` tag, then the
+        fields under ``values``; ``None`` when the width is not fixed."""
+        if self.dtype is None:
+            return None
+        return np.dtype([("kind", "S1"), ("tag", "<i4"), ("values", self.dtype)])
+
     def validate(self, values: Sequence[Any]) -> list[Any]:
         """Coerce a value tuple against the field types."""
         if len(values) != len(self.fields):
@@ -87,14 +150,13 @@ class RecordDescriptor:
             py = _TYPES[f.type][1]
             try:
                 out.append(py(v))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SDDFError(f"field {f.name!r}: {exc}") from exc
         return out
 
 
-@dataclass
-class _Stream:
-    descriptors: dict[int, RecordDescriptor] = field(default_factory=dict)
+#: One column per field: the field's dtype for numbers, ``str`` for strings.
+_Columns = list[Union[np.ndarray, list[str]]]
 
 
 class SDDFWriter:
@@ -119,25 +181,55 @@ class SDDFWriter:
 
     def record(self, tag: int, values: Sequence[Any]) -> None:
         """Emit one data record for a declared descriptor."""
+        self.records(tag, (values,))
+
+    def records(
+        self, tag: int, rows: Union[np.ndarray, Iterable[Sequence[Any]]]
+    ) -> None:
+        """Emit many records for a declared descriptor.
+
+        ``rows`` is a structured array, whose fields map to the
+        descriptor's by position, or rows of values (a plain 2-D array
+        counts as rows), which are validated.
+        Nothing is written when a value does not fit its field.
+        """
         desc = self._descriptors.get(tag)
         if desc is None:
             raise SDDFError(f"record for undeclared tag {tag}")
-        vals = desc.validate(values)
-        if self.binary:
-            self._write_binary_record(desc, vals)
+        columns = self._columns(desc, rows)
+        if not self.binary:
+            self._write_ascii_records(desc, columns)
+        elif desc.packed is not None:
+            self._write_packed_records(desc, columns)
         else:
-            self._buf.write(self._ascii_record(desc, vals).encode())
-
-    def records(self, tag: int, rows: Iterable[Sequence[Any]]) -> None:
-        """Emit many records."""
-        for row in rows:
-            self.record(tag, row)
+            self._write_binary_records(desc, columns)
 
     def getvalue(self) -> bytes:
         return self._buf.getvalue()
 
     def dump(self, fileobj: BinaryIO) -> None:
         fileobj.write(self.getvalue())
+
+    @staticmethod
+    def _columns(
+        desc: RecordDescriptor, rows: Union[np.ndarray, Iterable[Sequence[Any]]]
+    ) -> _Columns:
+        names = rows.dtype.names if isinstance(rows, np.ndarray) else None
+        if names is not None:
+            if len(names) != len(desc.fields):
+                raise SDDFError(
+                    f"{desc.name!r} expects {len(desc.fields)} columns, got {rows.dtype}"
+                )
+            raw: list[Any] = [rows[n] for n in names]
+        else:
+            valid = [desc.validate(row) for row in rows]
+            raw = list(zip(*valid)) if valid else [()] * len(desc.fields)
+        return [
+            [str(v) for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+            if f.type == "string"
+            else fit_column(f.name, col, _TYPES[f.type][0])
+            for f, col in zip(desc.fields, raw)
+        ]
 
     # -- ASCII encoding ----------------------------------------------------
     @staticmethod
@@ -148,18 +240,21 @@ class SDDFWriter:
         lines.append("};;\n")
         return "\n".join(lines)
 
-    @staticmethod
-    def _ascii_record(d: RecordDescriptor, vals: list[Any]) -> str:
-        parts = []
-        for f, v in zip(d.fields, vals):
+    def _write_ascii_records(self, d: RecordDescriptor, columns: _Columns) -> None:
+        """``#tag { a, b, … };;`` per record: ``repr`` for doubles, ``str``
+        for ints, quoted and escaped strings."""
+        specs, texts = [], []
+        for f, col in zip(d.fields, columns):
             if f.type == "string":
-                escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-                parts.append(f'"{escaped}"')
-            elif f.type == "double":
-                parts.append(repr(float(v)))
+                specs.append("{}")
+                texts.append(
+                    ['"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"' for v in col]
+                )
             else:
-                parts.append(str(int(v)))
-        return f'#{d.tag} {{ {", ".join(parts)} }};;\n'
+                specs.append("{!r}" if f.type == "double" else "{}")
+                texts.append(col.tolist())
+        line = "#%d {{ %s }};;\n" % (d.tag, ", ".join(specs))
+        self._buf.write("".join(map(line.format, *texts)).encode())
 
     # -- binary encoding -----------------------------------------------------
     def _write_binary_descriptor(self, d: RecordDescriptor) -> None:
@@ -172,16 +267,26 @@ class SDDFWriter:
             self._pack_str(f.name)
             self._pack_str(f.type)
 
-    def _write_binary_record(self, d: RecordDescriptor, vals: list[Any]) -> None:
-        buf = self._buf
-        buf.write(b"R")
-        buf.write(struct.pack("<i", d.tag))
-        for f, v in zip(d.fields, vals):
-            code = _TYPES[f.type][0]
-            if code is None:
-                self._pack_str(v)
-            else:
-                buf.write(struct.pack("<" + code, v))
+    def _write_packed_records(self, d: RecordDescriptor, columns: _Columns) -> None:
+        """Fixed-width records: one packed block, filled column by column."""
+        block = np.empty(len(columns[0]), dtype=d.packed)
+        block["kind"] = b"R"
+        block["tag"] = d.tag
+        values = block["values"]
+        for f, col in zip(d.fields, columns):
+            values[f.name] = col
+        self._buf.write(block.tobytes())
+
+    def _write_binary_records(self, d: RecordDescriptor, columns: _Columns) -> None:
+        """Records with a string field, packed field by field."""
+        head = b"R" + struct.pack("<i", d.tag)
+        for i in range(len(columns[0])):
+            self._buf.write(head)
+            for f, col in zip(d.fields, columns):
+                if f.type == "string":
+                    self._pack_str(col[i])
+                else:
+                    self._buf.write(col[i : i + 1].tobytes())
 
     def _pack_str(self, s: str) -> None:
         raw = s.encode("utf-8")
@@ -192,14 +297,18 @@ class SDDFWriter:
 class SDDFReader:
     """Parses an SDDF byte stream (auto-detects ASCII vs binary).
 
-    After :meth:`parse`, ``descriptors`` maps tag -> descriptor and
-    ``records`` maps tag -> list of value tuples.
+    After :meth:`parse`, ``descriptors`` maps tag -> descriptor,
+    :meth:`rows` gives one tag's records as value tuples and
+    :meth:`array` as one structured array (fixed-width descriptors only).
+    ``records`` maps every tag to its rows.
     """
 
     def __init__(self, data: bytes):
         self.data = data
         self.descriptors: dict[int, RecordDescriptor] = {}
-        self.records: dict[int, list[tuple]] = {}
+        #: tag -> records in stream order: a packed run's ``values`` view
+        #: (binary, fixed width) or one record's value tuple.
+        self._parts: dict[int, list[Union[np.ndarray, tuple]]] = {}
 
     def parse(self) -> "SDDFReader":
         if self.data.startswith(_MAGIC):
@@ -207,6 +316,50 @@ class SDDFReader:
         else:
             self._parse_ascii()
         return self
+
+    @property
+    def records(self) -> dict[int, list[tuple]]:
+        """tag -> list of value tuples, for every declared tag."""
+        return {tag: self.rows(tag) for tag in self.descriptors}
+
+    def rows(self, tag: int) -> list[tuple]:
+        """One tag's records as value tuples, in stream order."""
+        out: list[tuple] = []
+        for part in self._parts_of(tag):
+            if isinstance(part, np.ndarray):
+                out.extend(part.tolist())
+            else:
+                out.append(part)
+        return out
+
+    def array(self, tag: int) -> np.ndarray:
+        """One tag's records as an array of the descriptor's
+        :attr:`~RecordDescriptor.dtype`; a single binary run is a
+        zero-copy view of :attr:`data`."""
+        parts = self._parts_of(tag)
+        desc = self.descriptors[tag]
+        if desc.dtype is None:
+            raise SDDFError(f"{desc.name!r} has a string field; read it with rows()")
+        if not parts:
+            return np.empty(0, dtype=desc.dtype)
+        if all(isinstance(part, np.ndarray) for part in parts):
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        rows = self.rows(tag)
+        out = np.empty(len(rows), dtype=desc.dtype)
+        for f, col in zip(desc.fields, zip(*rows)):
+            out[f.name] = fit_column(f.name, col, desc.dtype[f.name])
+        return out
+
+    def _parts_of(self, tag: int) -> list[Union[np.ndarray, tuple]]:
+        if tag not in self._parts:
+            raise SDDFError(f"no descriptor for tag {tag}")
+        return self._parts[tag]
+
+    def _declare(self, desc: RecordDescriptor) -> None:
+        if desc.tag in self.descriptors:
+            raise SDDFError(f"tag {desc.tag} declared twice")
+        self.descriptors[desc.tag] = desc
+        self._parts[desc.tag] = []
 
     # -- binary ------------------------------------------------------------
     def _parse_binary(self) -> None:
@@ -224,27 +377,55 @@ class SDDFReader:
                     Field(self._unpack_str(buf), self._unpack_str(buf))
                     for _ in range(nfields)
                 )
-                self.descriptors[tag] = RecordDescriptor(name, fields, tag)
-                self.records.setdefault(tag, [])
+                self._declare(RecordDescriptor(name, fields, tag))
             elif kind == b"R":
                 tag = self._unpack_int(buf)
                 desc = self.descriptors.get(tag)
                 if desc is None:
                     raise SDDFError(f"record before descriptor for tag {tag}")
-                vals = []
-                for f in desc.fields:
-                    code = _TYPES[f.type][0]
-                    if code is None:
-                        vals.append(self._unpack_str(buf))
-                    else:
-                        size = struct.calcsize("<" + code)
-                        raw = buf.read(size)
-                        if len(raw) != size:
-                            raise SDDFError("truncated binary record")
-                        vals.append(struct.unpack("<" + code, raw)[0])
-                self.records[tag].append(tuple(vals))
+                if desc.packed is None:
+                    self._parts[tag].append(self._unpack_record(buf, desc))
+                else:
+                    start = buf.tell() - 5
+                    run = self._packed_run(start, desc)
+                    self._parts[tag].append(run["values"])
+                    buf.seek(start + len(run) * desc.packed.itemsize)
             else:
                 raise SDDFError(f"bad chunk kind {kind!r}")
+
+    def _packed_run(self, start: int, desc: RecordDescriptor) -> np.ndarray:
+        """The whole records of ``desc`` from ``start`` up to the first
+        chunk that is not one, viewed in place."""
+        dtype = desc.packed
+        avail = (len(self.data) - start) // dtype.itemsize
+        n, window = 0, _RUN_WINDOW
+        while n < avail:
+            k = min(window, avail - n)
+            view = np.frombuffer(self.data, dtype, count=k, offset=start + n * dtype.itemsize)
+            ours = (view["kind"] == b"R") & (view["tag"] == desc.tag)
+            if not ours.all():
+                n += int(ours.argmin())
+                break
+            n += k
+            window *= 2
+        if n == 0:
+            raise SDDFError("truncated binary record")
+        return np.frombuffer(self.data, dtype, count=n, offset=start)
+
+    @classmethod
+    def _unpack_record(cls, buf: io.BytesIO, desc: RecordDescriptor) -> tuple:
+        vals: list[Any] = []
+        for f in desc.fields:
+            code = _TYPES[f.type][0]
+            if code is None:
+                vals.append(cls._unpack_str(buf))
+                continue
+            size = np.dtype(code).itemsize
+            raw = buf.read(size)
+            if len(raw) != size:
+                raise SDDFError("truncated binary record")
+            vals.append(np.frombuffer(raw, code).item())
+        return tuple(vals)
 
     @staticmethod
     def _unpack_int(buf: io.BytesIO) -> int:
@@ -261,7 +442,10 @@ class SDDFReader:
         raw = buf.read(n)
         if len(raw) != n:
             raise SDDFError("truncated string")
-        return raw.decode("utf-8")
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SDDFError(f"bad string: {exc}") from exc
 
     # -- ASCII ---------------------------------------------------------------
     def _parse_ascii(self) -> None:
@@ -305,8 +489,7 @@ class SDDFReader:
             pos = self._expect(text, pos, ";")
             fields.append(Field(fname, ftype))
         pos = self._expect(text, pos, ";;")
-        self.descriptors[tag] = RecordDescriptor(name, tuple(fields), tag)
-        self.records.setdefault(tag, [])
+        self._declare(RecordDescriptor(name, tuple(fields), tag))
         return pos
 
     def _parse_ascii_record(self, text: str, pos: int, tag: int) -> int:
@@ -332,7 +515,7 @@ class SDDFReader:
                 pos = self._expect(text, pos, ",")
         pos = self._expect(text, pos, "}")
         pos = self._expect(text, pos, ";;")
-        self.records[tag].append(tuple(vals))
+        self._parts[tag].append(tuple(vals))
         return pos
 
     @staticmethod

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .events import EVENT_DTYPE, Op
-from .sddf import RecordDescriptor, SDDFReader, SDDFWriter
+from .sddf import RecordDescriptor, SDDFError, SDDFReader, SDDFWriter, fit_column
 
 __all__ = ["Trace", "IO_EVENT_DESCRIPTOR"]
 
@@ -200,22 +200,31 @@ class Trace:
         w.declare(_META_DESCRIPTOR)
         w.declare(IO_EVENT_DESCRIPTOR)
         w.record(0, (self.application, self.nodes, self.comment))
-        w.records(1, self.events.tolist())
+        w.records(1, self.events)
         return w.getvalue()
 
     @classmethod
     def from_sddf(cls, data: bytes) -> "Trace":
-        """Parse a trace previously produced by :meth:`to_sddf`."""
+        """Parse a trace previously produced by :meth:`to_sddf`.
+
+        Raises :class:`SDDFError` on a malformed stream or an event value
+        that does not fit :data:`EVENT_DTYPE`.
+        """
         r = SDDFReader(data).parse()
-        meta_rows = r.records.get(0, [])
+        meta_rows = r.rows(0) if 0 in r.descriptors else []
         app, nodes, comment = meta_rows[0] if meta_rows else ("", 0, "")
         trace = cls(application=app, nodes=nodes, comment=comment)
-        rows = r.records.get(1, [])
-        if rows:
-            trace.extend(
-                (float(ts), int(node), int(op), int(fid), int(offset), int(nbytes), float(dur))
-                for ts, node, op, fid, offset, nbytes, dur in rows
-            )
+        if 1 in r.descriptors:
+            block = r.array(1)
+            if len(block.dtype.names) != len(EVENT_DTYPE.names):
+                raise SDDFError(
+                    f"tag 1 has {len(block.dtype.names)} fields, an IO event "
+                    f"needs {len(EVENT_DTYPE.names)}"
+                )
+            events = np.empty(len(block), dtype=EVENT_DTYPE)
+            for name, field in zip(EVENT_DTYPE.names, block.dtype.names):
+                events[name] = fit_column(field, block[field], EVENT_DTYPE[name])
+            trace.extend(events)
         return trace
 
     def save(self, path: str, binary: bool = True) -> None:

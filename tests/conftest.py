@@ -26,6 +26,22 @@ def machine() -> Paragon:
     return make_machine()
 
 
+@pytest.fixture(scope="session")
+def paper_run():
+    """``paper_run(app)``: the paper-scale run of ``app``, simulated once
+    per session and shared read-only by every test that asks for it."""
+    from repro.core import paper_experiment
+
+    results = {}
+
+    def run(app: str):
+        if app not in results:
+            results[app] = paper_experiment(app).run()
+        return results[app]
+
+    return run
+
+
 def drive(machine: Paragon, *generators, names=None):
     """Run generators as processes to completion; return their values.
 

@@ -3,10 +3,13 @@ load analysis."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     IOClass,
     LoadReport,
+    ReuseStats,
     classify_files,
     detect_cycles,
     observed_load,
@@ -115,6 +118,69 @@ class TestReuseIntervals:
     def test_invalid_region(self):
         with pytest.raises(ValueError):
             reuse_intervals(make_trace([]), region_bytes=0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 1.5, 7.25, 40.0]),  # ties in time
+                st.sampled_from(list(Op)),
+                st.integers(3, 5),
+                st.integers(0, 20_000),
+                st.sampled_from([0, 1, 999, 1000, 1001, 4321]),  # zero-byte, multi-region
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([1, 1000, 4096]),
+        st.sampled_from([None, 3, 4, 9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_by_row_walk(self, rows, region, file_id):
+        trace = make_trace(
+            [(t, 0, op, fid, off, n, 0.1) for t, op, fid, off, n in rows]
+        )
+        got = reuse_intervals(trace, region_bytes=region, file_id=file_id)
+        assert got == reference_reuse_intervals(trace, region, file_id)
+
+    def test_matches_walk_on_app_traces(self):
+        for app in ("escat", "htf", "checkpoint"):
+            for trace in small_experiment(app).run().traces.values():
+                for region in (4096, 64 * 1024):
+                    assert reuse_intervals(trace, region) == reference_reuse_intervals(
+                        trace, region
+                    )
+
+
+def reference_reuse_intervals(trace, region_bytes, file_id=None):
+    """The row-by-row walk :func:`reuse_intervals` vectorized: the oracle
+    its statistics must equal exactly."""
+    ev = trace.events
+    data = ev[np.isin(ev["op"], [int(Op.READ), int(Op.AREAD), int(Op.WRITE)])]
+    if file_id is not None:
+        data = data[data["file_id"] == file_id]
+    last_touch = {}
+    intervals = []
+    first = 0
+    order = np.argsort(data["timestamp"], kind="stable")
+    for row in data[order]:
+        t = float(row["timestamp"])
+        start_region = int(row["offset"]) // region_bytes
+        end_region = int(row["offset"] + max(row["nbytes"], 1) - 1) // region_bytes
+        for region in range(start_region, end_region + 1):
+            key = (int(row["file_id"]), region)
+            prev = last_touch.get(key)
+            if prev is None:
+                first += 1
+            else:
+                intervals.append(t - prev)
+            last_touch[key] = t
+    arr = np.asarray(intervals) if intervals else np.zeros(0)
+    return ReuseStats(
+        n_reuses=len(intervals),
+        n_first_touches=first,
+        mean_interval_s=float(arr.mean()) if len(arr) else 0.0,
+        median_interval_s=float(np.median(arr)) if len(arr) else 0.0,
+        max_interval_s=float(arr.max()) if len(arr) else 0.0,
+    )
 
 
 class TestClassifyFiles:

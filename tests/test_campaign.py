@@ -17,6 +17,7 @@ from repro.campaign import (
     execute_run,
     run_metrics,
 )
+from repro.cli import main as cli_main
 from repro.core import small_experiment
 from repro.util import sanitize_filename
 
@@ -159,6 +160,24 @@ class TestRunner:
         assert first.executed == 6 and first.cached == 0 and first.ok
         second = CampaignRunner(self.GRID, str(tmp_path), quiet=True).run()
         assert second.cached == 6 and second.executed == 0 and second.ok
+
+    def test_truncated_metrics_is_recomputed(self, tmp_path, capsys):
+        grid = CampaignSpec(name="trunc", apps=("escat", "render"))
+        first = CampaignRunner(grid, str(tmp_path), quiet=True).run()
+        assert first.ok and first.executed == 2
+        victim = first.manifest.records[0].spec.run_hash
+        path = os.path.join(ResultCache(str(tmp_path)).entry_dir(victim), "metrics.json")
+        with open(path, "r+") as fh:
+            fh.truncate(len(fh.read()) // 2)
+        assert ResultCache(str(tmp_path)).load_metrics(victim) is None
+        assert cli_main(["campaign", "status", "--cache-dir", str(tmp_path)]) == 0
+        assert "unreadable metrics.json" in capsys.readouterr().out
+        again = CampaignRunner(grid, str(tmp_path), quiet=True).run()
+        assert again.ok and again.cached == 1 and again.executed == 1
+        status = {rec.spec.run_hash: rec.status for rec in again.manifest.records}
+        assert status[victim] == "done"
+        by_hash = {rec.spec.run_hash: rec.metrics for rec in first.manifest.records}
+        assert ResultCache(str(tmp_path)).load_metrics(victim) == by_hash[victim]
 
     def test_extending_grid_is_incremental(self, tmp_path):
         CampaignRunner(self.GRID, str(tmp_path), quiet=True).run()

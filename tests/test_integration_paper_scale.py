@@ -14,23 +14,22 @@ from repro.analysis import (
     SizeTable,
     Timeline,
 )
-from repro.core import paper_experiment
 from repro.pablo import Op
 
 
 @pytest.fixture(scope="module")
-def escat():
-    return paper_experiment("escat").run()
+def escat(paper_run):
+    return paper_run("escat")
 
 
 @pytest.fixture(scope="module")
-def render():
-    return paper_experiment("render").run()
+def render(paper_run):
+    return paper_run("render")
 
 
 @pytest.fixture(scope="module")
-def htf():
-    return paper_experiment("htf").run()
+def htf(paper_run):
+    return paper_run("htf")
 
 
 class TestEscatPaperScale:
