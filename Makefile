@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench perf perf-diff scale-smoke examples campaign-smoke faults-smoke telemetry-smoke ckpt-smoke fluid-smoke vfs-smoke ingest-smoke spans-smoke ledger-smoke clean all
+.PHONY: install test bench perf perf-diff scale-smoke examples campaign-smoke faults-smoke telemetry-smoke ckpt-smoke fluid-smoke vfs-smoke ingest-smoke spans-smoke ledger-smoke storm-smoke clean all
 
 CAMPAIGN_CACHE ?= .campaign-cache
 # perf-diff gate: fail when a metric is more than this factor slower than
@@ -81,6 +81,12 @@ telemetry-smoke:
 		--cache-dir $(CAMPAIGN_CACHE) --quiet
 	PYTHONPATH=src python -m repro campaign clean --cache-dir $(CAMPAIGN_CACHE)
 	rm -rf $(CAMPAIGN_CACHE).telemetry
+
+# Checkpoint-storm smoke: 1 MB writes fanned out to 16 I/O nodes, run
+# batched and then with REPRO_NO_BATCH=1; fails if the trace hashes or
+# any I/O node's counters differ.
+storm-smoke:
+	PYTHONPATH=src python benchmarks/storm_smoke.py
 
 ckpt-smoke:
 	PYTHONPATH=src python -m repro run checkpoint --burst-buffer 16MB --mtbf 100

@@ -14,7 +14,7 @@ and extending it re-simulates only the new cells.
 >>> print(report.summary())  # doctest: +SKIP
 """
 
-from .cache import ResultCache
+from .cache import MODEL_VERSION, ResultCache
 from .metrics import CampaignManifest, RunRecord, render_summary, run_metrics
 from .progress import Progress
 from .runner import CampaignReport, CampaignRunner, execute_run
@@ -25,6 +25,7 @@ __all__ = [
     "RunSpec",
     "CampaignRunner",
     "CampaignReport",
+    "MODEL_VERSION",
     "ResultCache",
     "CampaignManifest",
     "RunRecord",

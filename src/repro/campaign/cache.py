@@ -1,10 +1,17 @@
 """Content-addressed on-disk result cache.
 
 Each completed run is stored under ``<root>/<run_hash>/`` holding the
-run's SDDF traces, its ``spec.json`` and its ``metrics.json``.  Entries
-are built in a staging directory and published with an atomic rename, so
-a cache can be shared by concurrent workers and a killed campaign never
-leaves a half-written entry that later looks like a hit.
+run's SDDF traces, its ``spec.json``, its ``metrics.json`` and the
+:data:`MODEL_VERSION` that produced it.  Entries are built in a staging
+directory and published with an atomic rename, so a cache can be shared
+by concurrent workers and a killed campaign never leaves a half-written
+entry that later looks like a hit.
+
+``run_hash`` names *what* was simulated, not the code that simulated it,
+so an entry written by an older simulator would otherwise be served as a
+hit forever.  An entry whose model version differs from the current one
+(or that has none) is *stale*: the runner recomputes it and
+``repro campaign status`` flags it.
 """
 
 from __future__ import annotations
@@ -18,10 +25,16 @@ from ..pablo.trace import Trace
 from ..util.validation import sanitize_filename
 from .spec import RunSpec
 
-__all__ = ["ResultCache"]
+__all__ = ["MODEL_VERSION", "ResultCache"]
+
+#: Version of the simulation model behind every cached result.  Bump it
+#: whenever the golden fixtures (``tests/data/golden_trace_hashes.json``)
+#: are regenerated, i.e. whenever a change alters simulated results.
+MODEL_VERSION = 1
 
 _METRICS = "metrics.json"
 _SPEC = "spec.json"
+_MODEL = "model_version"
 _STAGING = ".staging"
 
 
@@ -52,6 +65,19 @@ class ResultCache:
         except (OSError, ValueError):
             return None
         return metrics if isinstance(metrics, dict) else None
+
+    def model_version(self, run_hash: str) -> Optional[int]:
+        """The model version the entry was written under (``None`` when it
+        predates versioned entries or the file does not parse)."""
+        try:
+            with open(os.path.join(self.entry_dir(run_hash), _MODEL)) as fh:
+                return int(fh.read())
+        except (OSError, ValueError):
+            return None
+
+    def stale(self, run_hash: str) -> bool:
+        """True iff the entry was written under another model version."""
+        return self.model_version(run_hash) != MODEL_VERSION
 
     def load_spec(self, run_hash: str) -> Optional[RunSpec]:
         path = os.path.join(self.entry_dir(run_hash), _SPEC)
@@ -86,6 +112,8 @@ class ResultCache:
                 trace.save(os.path.join(staging, f"{sanitize_filename(name)}.sddf"))
             with open(os.path.join(staging, _SPEC), "w") as fh:
                 json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
+            with open(os.path.join(staging, _MODEL), "w") as fh:
+                fh.write(f"{MODEL_VERSION}\n")
             # metrics.json last: its presence marks the entry complete.
             with open(os.path.join(staging, _METRICS), "w") as fh:
                 json.dump(metrics, fh, indent=2, sort_keys=True)

@@ -145,14 +145,16 @@ class CampaignRunner:
         fresh = []
         for spec in runs:
             rec = records[spec.run_hash]
-            metrics = self.cache.load_metrics(spec.run_hash)
+            metrics = None
+            if not self.cache.stale(spec.run_hash):
+                metrics = self.cache.load_metrics(spec.run_hash)
             if metrics is not None:
                 rec.status = "cached"
                 rec.metrics = metrics
                 progress.move("queued", "cached", spec.label())
             else:
-                # A missing or unreadable entry is a miss; clear it so the
-                # recomputed result can be published in its place.
+                # A missing, unreadable or stale entry is a miss; clear it
+                # so the recomputed result can be published in its place.
                 self.cache.evict(spec.run_hash)
                 fresh.append(spec)
 

@@ -41,7 +41,7 @@ from typing import Optional
 
 from .analysis.report import CharacterizationReport
 from .analysis.resilience import ResilienceReport
-from .campaign.cache import ResultCache
+from .campaign.cache import MODEL_VERSION, ResultCache
 from .campaign.runner import CampaignRunner, code_version
 from .campaign.spec import CampaignSpec
 from .core.compare import CrossAppComparison
@@ -550,6 +550,11 @@ def _cmd_campaign_status(args) -> int:
         label = spec.label() if spec else "?"
         if metrics is None:
             print(f"  {run_hash}  {label:<30} unreadable metrics.json")
+            continue
+        if cache.stale(run_hash):
+            version = cache.model_version(run_hash)
+            print(f"  {run_hash}  {label:<30} stale: model version "
+                  f"{'none' if version is None else version}, current {MODEL_VERSION}")
             continue
         line = (f"  {run_hash}  {label:<30} makespan {metrics['makespan_s']:>10.2f}s  "
                 f"io {metrics['io_node_time_s']:>10.2f}s  {metrics['events']:>7,} events")

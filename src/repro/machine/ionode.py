@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..pfs.errors import DegradedService, IONodeUnavailable, IOTimeout
-from ..pfs.fanout import countdown
+from ..pfs.fanout import Join
 from ..sim.core import Environment, Event, Timeout
 from ..util.validation import check_nonneg
 from .raid import Raid3Array, Raid3Params
@@ -108,7 +108,12 @@ class IONode:
         # and service, which eager precomputation cannot see).
         self._eager = self._fifo and not os.environ.get("REPRO_NO_BATCH")
         self._free_at = 0.0  # absolute end time of the last armed service
-        self._eager_open: deque[Event] = deque()  # done events, FIFO order
+        # Priced, not yet completed services in FIFO order, one entry
+        # ``[end, seq, done, join, node]`` each.  A chunk folded into a
+        # fan-out Join has no done event (``done`` None, ``join`` set):
+        # nothing pops its entry when it completes, so it expires lazily
+        # once the kernel's current (time, seq) key has passed (end, seq).
+        self._eager_open: deque[list] = deque()
         self.busy_time = 0.0
         self.requests_served = 0
         self.bytes_served = 0
@@ -132,7 +137,7 @@ class IONode:
     @property
     def queue_length(self) -> int:
         """Requests waiting (not in service)."""
-        n_open = len(self._eager_open)
+        n_open = len(self._expire())
         if n_open:
             return n_open - 1 + len(self._pending)
         return len(self._pending)
@@ -140,7 +145,29 @@ class IONode:
     @property
     def busy(self) -> bool:
         """A request is in service (scalar dispatcher or eager chain)."""
-        return self._busy or bool(self._eager_open)
+        return self._busy or bool(self._expire())
+
+    def _expire(self) -> deque:
+        """Drop folded entries whose completion the kernel has passed.
+
+        A folded chunk completes at its reserved ``(end, seq)`` key; it is
+        done once that key lies behind the kernel's current ``(now,
+        seq)``.  Entries with a done event pop themselves when it fires,
+        and every entry behind the first open one is open too (keys grow
+        along the FIFO), so expiring the head run is enough.
+        """
+        open_ = self._eager_open
+        if open_:
+            env = self.env
+            now, cur = env.now, env._cur_seq
+            while open_:
+                entry = open_[0]
+                if entry[2] is not None or entry[0] > now or (
+                    entry[0] == now and entry[1] > cur
+                ):
+                    break
+                open_.popleft()
+        return open_
 
     @property
     def up(self) -> bool:
@@ -155,7 +182,8 @@ class IONode:
         is_write: bool,
         extra_s: float = 0.0,
         span_parent: float = -1.0,
-    ) -> Event:
+        join: Optional[Join] = None,
+    ) -> Optional[Event]:
         """Queue a data request; the returned event fires on completion
         with the in-service duration (excluding queueing delay) as value.
 
@@ -170,12 +198,21 @@ class IONode:
         Under injected faults the returned event may *fail* with a
         :class:`~repro.pfs.errors.TransientIOError` subclass; callers on
         the retry path check ``event.ok`` in their completion callbacks.
+
+        With a fan-out :class:`~repro.pfs.fanout.Join` the request is one
+        chunk of it and the join tracks its completion: an eager node
+        folds it (no per-chunk kernel event, returns ``None``), a
+        scalar queue counts its done event down.
         """
         if self._eager:
-            return self._eager_submit(offset, nbytes, is_write, extra_s, False, span_parent)
+            return self._eager_submit(
+                offset, nbytes, is_write, extra_s, False, span_parent, join
+            )
         # Inlined _submit: this is the per-chunk hot path (millions of
         # calls per paper-scale run), so it pays to skip one frame.
         req = _Pending(offset, nbytes, is_write, extra_s, Event(self.env))
+        if join is not None:
+            join.add(req.done)
         spans = self._spans
         if spans is not None:
             req.arrived = self.env.now
@@ -199,20 +236,23 @@ class IONode:
         service = yield self.submit(offset, nbytes, is_write, extra_s)
         return service
 
-    def submit_control(self, service_s: float, span_parent: float = -1.0) -> Event:
+    def submit_control(
+        self, service_s: float, span_parent: float = -1.0, join: Optional[Join] = None
+    ) -> Optional[Event]:
         """Queue a control operation (fixed service, no disk motion); the
         returned event fires on completion.
 
         Allocation-lean sibling of :meth:`visit` for hot paths that chain
         callbacks instead of wrapping a generator in a Process — the PPFS
-        server-cache hit path issues through here.
+        server-cache hit path issues through here.  ``join`` works as in
+        :meth:`submit`.
         """
         if self._eager:
-            return self._eager_submit(0, 0, False, service_s, True, span_parent)
-        return self._submit(
-            _Pending(0, 0, False, service_s, Event(self.env), control=True),
-            span_parent,
-        )
+            return self._eager_submit(0, 0, False, service_s, True, span_parent, join)
+        req = _Pending(0, 0, False, service_s, Event(self.env), control=True)
+        if join is not None:
+            join.add(req.done)
+        return self._submit(req, span_parent)
 
     def visit(self, service_s: float):
         """Process generator: occupy the server for ``service_s`` without
@@ -247,7 +287,8 @@ class IONode:
         extra_s: float,
         control: bool,
         span_parent: float = -1.0,
-    ) -> Event:
+        join: Optional[Join] = None,
+    ) -> Optional[Event]:
         """Fast-path submit: compute the service now, arm the completion
         at its absolute end time.
 
@@ -256,6 +297,11 @@ class IONode:
         completion is scheduled via :meth:`Environment.schedule_at` at the
         *stored* end time rather than a relative timeout (``now + (end -
         now)`` need not round back to ``end``).
+
+        A chunk of a fan-out ``join`` arms nothing: it reserves the seq
+        its completion event would have taken and hands ``(end, seq)`` to
+        the join, which arms one event for all its chunks (see
+        :mod:`repro.pfs.fanout`).
         """
         env = self.env
         spans = self._spans
@@ -277,11 +323,25 @@ class IONode:
                 observe(nbytes)
         self.busy_time += service
         open_ = self._eager_open
-        end = (self._free_at if open_ else env.now) + service
+        now = env.now
+        # The chain is busy iff its last completion, at (_free_at, seq), is
+        # still ahead; at _free_at == now both branches give the same end.
+        free = self._free_at
+        end = (free if free > now else now) + service
         self._free_at = end
-        done = Event(env)
-        open_.append(done)
-        env.schedule_at(end).callbacks.append(partial(self._eager_done, done, service))
+        # Completions strictly before now are certainly past: bound the
+        # FIFO without needing the kernel's current seq.
+        while open_ and open_[0][0] < now:
+            open_.popleft()
+        if join is not None:
+            seq = env._seq
+            env._seq = seq + 1
+            entry = [end, seq, None, join, self]
+            open_.append(entry)
+            join.fold(entry)
+            done = None
+        else:
+            done = self._arm_done(end, service)
         if spans is not None:
             spans.ion_raw.append(
                 (
@@ -318,8 +378,8 @@ class IONode:
         this where per-chunk completion *times* are not observed
         individually — the write-behind flusher's burst is the canonical
         site.  ``extra_s`` is a scalar or a per-request sequence.  Falls
-        back to per-request submits folded through
-        :func:`~repro.pfs.fanout.countdown` whenever the eager path is
+        back to per-request submits counted down by a
+        :class:`~repro.pfs.fanout.Join` whenever the eager path is
         off (SSTF, faults, ``REPRO_NO_BATCH``).
         """
         n = len(offsets)
@@ -329,17 +389,15 @@ class IONode:
             ev.succeed(0.0)
             return ev
         if not self._eager:
-            done, chunk_done = countdown(env, n)
+            join = Join(env, n)
             extras = (
                 [extra_s] * n
                 if isinstance(extra_s, (int, float))
                 else [float(x) for x in extra_s]
             )
             for off, nb, ex in zip(offsets, sizes, extras):
-                self.submit(int(off), int(nb), is_write, ex, span_parent).callbacks.append(
-                    chunk_done
-                )
-            return done
+                self.submit(int(off), int(nb), is_write, ex, span_parent, join)
+            return join.done
         offsets = np.asarray(offsets, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         services = (
@@ -351,10 +409,11 @@ class IONode:
         if observe is not None:
             for nb in sizes.tolist():
                 observe(nb)
-        open_ = self._eager_open
         # Sequential fold, not cumsum: float addition grouping must match
         # the scalar one-at-a-time chain exactly.
-        first_start = self._free_at if open_ else env.now
+        now = env.now
+        free = self._free_at
+        first_start = free if free > now else now
         end = first_start
         busy = self.busy_time
         for s in services.tolist():
@@ -362,16 +421,11 @@ class IONode:
             end += s
         self.busy_time = busy
         self._free_at = end
-        done = Event(env)
-        open_.append(done)
-        env.schedule_at(end).callbacks.append(
-            partial(self._eager_done, done, float(services.sum()))
-        )
+        done = self._arm_done(end, float(services.sum()))
         spans = self._spans
         if spans is not None:
             # Explicit cohort-summary span: batched mode prices the whole
             # burst in one sweep, so per-chunk spans don't exist here.
-            now = env.now
             total = int(sizes.sum())
             cohort = spans.add(
                 "ion.cohort", self.index, now, end, span_parent, total, float(n)
@@ -395,16 +449,28 @@ class IONode:
         if end <= env.now:
             return  # horizon already past: discrete pricing is correct as-is
         self._free_at = end
-        done = Event(env)
-        self._eager_open.append(done)
-        env.schedule_at(end).callbacks.append(partial(self._eager_done, done, 0.0))
+        self._arm_done(end, 0.0)
 
-    def _eager_done(self, done: Event, service: float, _event: Event) -> None:
+    def _arm_done(self, end: float, service: float) -> Event:
+        """Append an entry with its own done event, armed at ``end``."""
+        done = Event(self.env)
+        entry = [end, self.env._seq, done, None, self]
+        self._eager_open.append(entry)
+        self.env.schedule_at(end).callbacks.append(
+            partial(self._eager_done, entry, service)
+        )
+        return done
+
+    def _eager_done(self, entry: list, service: float, _event: Event) -> None:
         open_ = self._eager_open
-        if not open_ or open_[0] is not done:
+        # Folded entries ahead of this one completed earlier in (time,
+        # seq) order: drop them on the way.
+        while open_ and open_[0] is not entry and open_[0][2] is None:
+            open_.popleft()
+        if not open_ or open_[0] is not entry:
             return  # stale: the node crashed and this request already failed
         open_.popleft()
-        done.succeed(service)
+        entry[2].succeed(service)
         if not open_ and not self._eager and self._busy:
             # Eager was disabled mid-flight; the scalar dispatcher takes
             # over now that the armed chain has drained.
@@ -415,13 +481,24 @@ class IONode:
 
         Armed completions stay armed — their times are already exact —
         and requests arriving meanwhile queue behind them exactly as they
-        would behind a scalar busy period.
+        would behind a scalar busy period.  Chunks folded into a fan-out
+        join get their own completion events back first, at their
+        reserved keys.
         """
         if not self._eager:
             return
         self._eager = False
+        self._unfold()
         if self._eager_open:
             self._busy = True
+
+    def _unfold(self) -> None:
+        """Expire past folded entries and unfold the joins of the rest,
+        so every open entry has its own done event and kernel event."""
+        for entry in self._expire():
+            join = entry[3]
+            if join is not None:
+                join.unfold()
 
     # -- fault interception ----------------------------------------------------
     def _intercept(self, req: _Pending) -> bool:
@@ -480,6 +557,7 @@ class IONode:
         self._eager = False
         self._faulty = True
         self._down_since = self.env.now
+        self._unfold()
         inflight, self._inflight = self._inflight, None
         pending, self._pending = self._pending, []
         open_, self._eager_open = self._eager_open, deque()
@@ -491,9 +569,9 @@ class IONode:
         for req in pending:
             self.failed_requests += 1
             req.done.fail(IONodeUnavailable(exc_text))
-        for done in open_:
+        for entry in open_:
             self.failed_requests += 1
-            done.fail(IONodeUnavailable(exc_text))
+            entry[2].fail(IONodeUnavailable(exc_text))
 
     def restart(self) -> None:
         """Bring a crashed node back up (empty queue, caches cold)."""

@@ -22,7 +22,7 @@ from .errors import (
     RetryBudgetExceeded,
     TransientIOError,
 )
-from .fanout import countdown
+from .fanout import Join
 from .file import PFSFile
 from .filesystem import SEEK_CUR, SEEK_END, SEEK_SET, AreadHandle, PFS
 from .modes import AccessMode, ModeSemantics, semantics
@@ -50,7 +50,7 @@ __all__ = [
     "RetryPolicy",
     "backoff_schedule",
     "install_retry",
-    "countdown",
+    "Join",
     "PFSFile",
     "SEEK_CUR",
     "SEEK_END",

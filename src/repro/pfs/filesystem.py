@@ -47,7 +47,7 @@ from .errors import (
     ModeError,
     PFSError,
 )
-from .fanout import countdown
+from .fanout import Join
 from .file import PFSFile
 from .modes import AccessMode
 from .striping import StripeLayout
@@ -422,21 +422,21 @@ class PFS:
         """Start the striped per-I/O-node chunk transfers of one request;
         the returned event fires when the last chunk completes.
 
-        A shared :func:`~repro.pfs.fanout.countdown` replaces the old
-        per-chunk closure-generator + Process + AllOf fan-out (which cost
-        two events and a process per 64 KB chunk): each chunk is a
-        mesh-delay :class:`Timeout` whose callback submits the chunk to
-        its I/O node and chains the countdown onto the service-done
-        event.  All hops in both formulations are zero-delay, so
-        completion times are unchanged.
+        Each chunk is a mesh-delay :class:`Timeout` whose callback submits
+        it to its I/O node as one chunk of a shared
+        :class:`~repro.pfs.fanout.Join`.  Eager FIFO nodes fold the
+        chunk completions into one kernel event for the whole request;
+        scalar queues count each chunk down.  All hops in both forms are
+        zero-delay, so completion times are unchanged.
         """
         env = self.env
         mesh = self.machine.mesh
         ionodes = self.machine.ionodes
         io_pos = self._io_mesh_pos
         chunks = f.layout.decompose(offset, nbytes)
-        done, chunk_done = countdown(env, len(chunks))
+        join = Join(env, len(chunks))
         spans = self.spans
+        parent = -1  # causal span the chunks nest under; -1 with spans off
         if spans is not None:
             parent = spans.fanout_parent
             if parent >= 0:
@@ -449,27 +449,14 @@ class PFS:
             ion = ionodes[chunk.ionode]
             extra = self._chunk_extra(chunk.nbytes, is_write)
             delay = mesh.message_time(node, io_pos[chunk.ionode], chunk.nbytes)
-            msg = Timeout(env, delay)
-
-            if spans is None:
-
-                def _arrived(_ev, ion=ion, chunk=chunk, extra=extra):
-                    ion.submit(
-                        chunk.disk_offset, chunk.nbytes, is_write, extra
-                    ).callbacks.append(chunk_done)
-
-            else:
+            if spans is not None:
                 mesh_ext((parent, node, now, now + delay, chunk.nbytes))
 
-                def _arrived(_ev, ion=ion, chunk=chunk, extra=extra, parent=parent):
-                    # Thread the causal parent through the async mesh hop
-                    # as a submit argument.
-                    ion.submit(
-                        chunk.disk_offset, chunk.nbytes, is_write, extra, parent
-                    ).callbacks.append(chunk_done)
+            def _arrived(_ev, ion=ion, chunk=chunk, extra=extra):
+                ion.submit(chunk.disk_offset, chunk.nbytes, is_write, extra, parent, join)
 
-            msg.callbacks.append(_arrived)
-        return done
+            Timeout(env, delay).callbacks.append(_arrived)
+        return join.done
 
     def _transfer(self, node: int, f: PFSFile, offset: int, nbytes: int, is_write: bool):
         """Move ``nbytes`` between the client and the striped I/O nodes.

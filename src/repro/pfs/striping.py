@@ -209,24 +209,3 @@ class StripeLayout:
             out[chunk.ionode] = out.get(chunk.ionode, 0) + chunk.nbytes
         return out
 
-
-def _coalesce(pieces: list[Chunk]) -> list[Chunk]:
-    """Merge physically contiguous same-I/O-node pieces, preserving order."""
-    merged: list[Chunk] = []
-    # Index of the last piece per ionode, for O(n) adjacency checks.
-    last_for_node: dict[int, int] = {}
-    for piece in pieces:
-        idx = last_for_node.get(piece.ionode)
-        if idx is not None:
-            prev = merged[idx]
-            if prev.disk_offset + prev.nbytes == piece.disk_offset:
-                merged[idx] = Chunk(
-                    ionode=prev.ionode,
-                    disk_offset=prev.disk_offset,
-                    nbytes=prev.nbytes + piece.nbytes,
-                    logical_offset=prev.logical_offset,
-                )
-                continue
-        last_for_node[piece.ionode] = len(merged)
-        merged.append(piece)
-    return merged

@@ -22,7 +22,7 @@ from typing import Optional
 
 from ..machine.paragon import Paragon
 from ..pfs.costs import CostModel
-from ..pfs.fanout import countdown
+from ..pfs.fanout import Join
 from ..pfs.filesystem import PFS, SEEK_CUR, SEEK_END, SEEK_SET
 from ..pfs.errors import PFSError
 from ..sim.core import Event, Timeout
@@ -92,17 +92,18 @@ class PPFS(PFS):
     def _fanout(self, node: int, f, offset: int, nbytes: int, is_write: bool) -> Event:
         """Striped chunk fan-out with the shared I/O-node caches in the path.
 
-        Same shared-countdown pattern as :meth:`PFS._fanout` — one mesh
-        :class:`Timeout` per chunk whose arrival callback submits to the
-        I/O node, no closure/Process/AllOf per chunk.  Read chunks fully
-        resident in the serving node's cache become control submissions
-        (CPU + queueing, no disk motion); misses serve from disk and
-        populate the cache when their service completes.  Writes go
-        through to disk and refresh the cached blocks (write-through at
-        the second level — write-behind buffering is the client-side
-        policy's job).  Hit state is decided per chunk at issue time, as
-        the old per-chunk closures did.  Every replaced hop had zero
-        simulated delay, so completion timestamps are unchanged.
+        Same shape as :meth:`PFS._fanout` — one mesh :class:`Timeout`
+        per chunk whose arrival callback submits to the I/O node as one
+        chunk of a shared :class:`~repro.pfs.fanout.Join`.  Read chunks
+        fully resident in the serving node's cache become control
+        submissions (CPU + queueing, no disk motion), which eager nodes
+        fold like any other chunk.  Misses serve from disk and populate
+        the cache when their service completes, so they keep a per-chunk
+        completion.  Writes go through to disk and refresh the cached
+        blocks (write-through at the second level — write-behind
+        buffering is the client-side policy's job).  Hit state is decided
+        per chunk at issue time.  Every hop has zero simulated delay, so
+        completion timestamps are unchanged.
         """
         if self.policies.server_cache_blocks == 0:
             return super()._fanout(node, f, offset, nbytes, is_write)
@@ -112,8 +113,9 @@ class PPFS(PFS):
         hit_s = self.policies.server_cache_hit_s
         file_id = f.file_id
         chunks = f.layout.decompose(offset, nbytes)
-        done, _chunk_done = countdown(env, len(chunks))
+        join = Join(env, len(chunks))
         spans = self.spans
+        parent = -1  # causal span the chunks nest under; -1 with spans off
         if spans is not None:
             parent = spans.fanout_parent
             if parent >= 0:
@@ -132,51 +134,33 @@ class PPFS(PFS):
             hit = not is_write and cache.lookup_range(file_id, first, last)
             delay = mesh.message_time(node, io_pos, chunk.nbytes)
             msg = Timeout(env, delay)
-            if hit:
-                if spans is None:
-
-                    def _arrived(_ev, ion=ion):
-                        ion.submit_control(hit_s).callbacks.append(_chunk_done)
-
-                else:
-                    mesh_ext((parent, node, now, now + delay, chunk.nbytes))
+            if spans is not None:
+                mesh_ext((parent, node, now, now + delay, chunk.nbytes))
+                if hit:
                     spans.add(
                         "scache.hit", chunk.ionode, now, now, parent, chunk.nbytes
                     )
+            if hit:
 
-                    def _arrived(_ev, ion=ion, parent=parent):
-                        ion.submit_control(hit_s, parent).callbacks.append(_chunk_done)
+                def _arrived(_ev, ion=ion):
+                    ion.submit_control(hit_s, parent, join)
 
             else:
                 extra = self._chunk_extra(chunk.nbytes, is_write)
-                if spans is None:
 
-                    def _arrived(_ev, ion=ion, chunk=chunk, extra=extra,
-                                 cache=cache, first=first, last=last):
-                        def _served(ev):
-                            cache.insert_range(file_id, first, last)
-                            _chunk_done(ev)
+                def _arrived(_ev, ion=ion, chunk=chunk, extra=extra,
+                             cache=cache, first=first, last=last):
+                    def _served(ev):
+                        cache.insert_range(file_id, first, last)
+                        join.chunk_done(ev)
 
-                        ion.submit(
-                            chunk.disk_offset, chunk.nbytes, is_write, extra
-                        ).callbacks.append(_served)
-
-                else:
-                    mesh_ext((parent, node, now, now + delay, chunk.nbytes))
-
-                    def _arrived(_ev, ion=ion, chunk=chunk, extra=extra,
-                                 cache=cache, first=first, last=last,
-                                 parent=parent):
-                        def _served(ev):
-                            cache.insert_range(file_id, first, last)
-                            _chunk_done(ev)
-
-                        ion.submit(
-                            chunk.disk_offset, chunk.nbytes, is_write, extra, parent
-                        ).callbacks.append(_served)
+                    join.add(
+                        ion.submit(chunk.disk_offset, chunk.nbytes, is_write, extra, parent),
+                        _served,
+                    )
 
             msg.callbacks.append(_arrived)
-        return done
+        return join.done
 
     # -- helpers ---------------------------------------------------------------
     def cache_for(self, node: int) -> Optional[BlockCache]:

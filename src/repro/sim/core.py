@@ -64,6 +64,9 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+#: ``Environment._cur_seq`` when no queue entry is being processed.
+_NO_ENTRY = float("inf")
+
 # Event states.
 _PENDING = 0
 _TRIGGERED = 1  # scheduled, waiting in queue
@@ -350,7 +353,9 @@ class Environment:
     (time, seq) order:
 
     * ``_queue`` — a binary heap of ``(time, seq, event)`` for events with
-      a strictly positive delay;
+      a strictly positive delay, and for events armed late at a reserved
+      seq (:meth:`schedule_reserved`), which the heap orders by key even
+      at the current time;
     * ``_immediate`` — a FIFO deque for zero-delay work at the current
       time.  Entries are ``(seq, time, event)`` or, for direct process
       resumes that skip the throwaway Event entirely,
@@ -388,6 +393,12 @@ class Environment:
         self._queue: list[tuple[float, int, Event]] = []
         self._immediate: deque = deque()
         self._seq = 0
+        #: Sequence number of the entry being processed; ``inf`` while no
+        #: entry is (phase boundaries, outside :meth:`run`).  Together with
+        #: :attr:`now` it is the current ``(time, seq)`` key, which lets a
+        #: component tell whether a completion it folded away (see
+        #: :meth:`schedule_reserved`) has already happened.
+        self._cur_seq: float = _NO_ENTRY
         self._unhandled: list[BaseException] = []
         #: Pending heap events that must not keep the simulation alive.
         self.background = 0
@@ -446,6 +457,33 @@ class Environment:
         self._seq += 1
         return ev
 
+    def schedule_reserved(
+        self, when: float, seq: int, callback: Callable[[Event], None]
+    ) -> Event:
+        """A triggered event firing ``callback`` at ``(when, seq)``.
+
+        ``seq`` is a sequence number the caller reserved earlier
+        (``seq = env._seq; env._seq += 1``) for an event it did not arm
+        then.  Reserving keeps the relative order of everything else
+        scheduled meanwhile, so arming the event late fires it exactly
+        where an event armed at reservation time would have fired.  The
+        key must still lie ahead of the current one.  A completion at the
+        current instant whose reservation is the latest one goes on the
+        immediate deque, as :meth:`schedule_at` would have put it; any
+        other key goes on the heap, which orders it by ``(when, seq)``.
+        """
+        now = self.now
+        if when < now:
+            raise SimulationError(f"schedule_reserved({when}) is in the past (now={now})")
+        ev = Event(self)
+        ev._state = _TRIGGERED
+        ev.callbacks.append(callback)
+        if when == now and seq == self._seq - 1:
+            self._immediate.append((seq, now, ev))
+        else:
+            heapq.heappush(self._queue, (when, seq, ev))
+        return ev
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """An event firing when any of ``events`` has fired."""
         return AnyOf(self, events)
@@ -499,7 +537,7 @@ class Environment:
                 # Pop the heap only when it is strictly earlier in the
                 # total (time, seq) order than the deque head.
                 if top[0] < head[1] or (top[0] == head[1] and top[1] < head[0]):
-                    when, _, event = heapq.heappop(queue)
+                    when, self._cur_seq, event = heapq.heappop(queue)
                     self.now = when
                     event._state = _PROCESSED
                     callbacks, event.callbacks = event.callbacks, []
@@ -508,6 +546,7 @@ class Environment:
                     return
             imm.popleft()
             self.now = head[1]
+            self._cur_seq = head[0]
             if len(head) == 3:
                 event = head[2]
                 event._state = _PROCESSED
@@ -520,7 +559,7 @@ class Environment:
             return
         if not queue:
             raise SimulationError("step() on empty queue")
-        when, _, event = heapq.heappop(queue)
+        when, self._cur_seq, event = heapq.heappop(queue)
         self.now = when
         event._state = _PROCESSED
         callbacks, event.callbacks = event.callbacks, []
@@ -560,6 +599,7 @@ class Environment:
                     # land on the same (live) list.
                     callbacks = self._boundary[:]
                     del self._boundary[:]
+                    self._cur_seq = _NO_ENTRY
                     for cb in callbacks:
                         cb()
                     if unhandled:
@@ -571,6 +611,7 @@ class Environment:
                 # check only matters when the heap is next.
                 if not imm and until is not None and queue[0][0] > until:
                     self.now = until
+                    self._cur_seq = _NO_ENTRY
                     return
                 step()
                 if unhandled:
@@ -600,7 +641,7 @@ class Environment:
                         if top[0] < head[1] or (
                             top[0] == head[1] and top[1] < head[0]
                         ):
-                            when, _, event = pop(queue)
+                            when, self._cur_seq, event = pop(queue)
                             self.now = when
                             event._state = _PROCESSED
                             callbacks, event.callbacks = event.callbacks, []
@@ -613,6 +654,7 @@ class Environment:
                             continue
                     popleft()
                     self.now = head[1]
+                    self._cur_seq = head[0]
                     if len(head) == 3:
                         event = head[2]
                         event._state = _PROCESSED
@@ -632,6 +674,7 @@ class Environment:
                     # drained, fire callbacks before advancing the clock.
                     callbacks = boundary[:]
                     del boundary[:]
+                    self._cur_seq = _NO_ENTRY
                     for cb in callbacks:
                         cb()
                     if unhandled:
@@ -642,6 +685,7 @@ class Environment:
                 when = queue[0][0]
                 if until is not None and when > until:
                     self.now = until
+                    self._cur_seq = _NO_ENTRY
                     return
                 self.now = when
                 # Same-time cohort: drain every heap event at exactly
@@ -650,7 +694,7 @@ class Environment:
                 # members (larger seq / strictly later time), so no
                 # per-event deque comparison is needed.
                 while True:
-                    event = pop(queue)[2]
+                    _, self._cur_seq, event = pop(queue)
                     event._state = _PROCESSED
                     callbacks, event.callbacks = event.callbacks, []
                     for cb in callbacks:
@@ -661,5 +705,6 @@ class Environment:
                         raise exc
                     if imm or not queue or queue[0][0] != when:
                         break
+        self._cur_seq = _NO_ENTRY
         if until is not None and until > self.now:
             self.now = until

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
+    MODEL_VERSION,
     Progress,
     ResultCache,
     RunSpec,
@@ -128,6 +130,16 @@ class TestResultCache:
         reloaded = cache.load_trace(spec.run_hash, "escat")
         assert len(reloaded) == len(result.traces["escat"])
 
+    def test_model_version_tracks_the_golden_fixtures(self):
+        """Regenerating the golden fixtures means results changed: bump
+        MODEL_VERSION (so cached entries go stale) and re-pin here."""
+        path = os.path.join(os.path.dirname(__file__), "data", "golden_trace_hashes.json")
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert (MODEL_VERSION, digest) == (
+            1, "b7d753793a293bd0bfbbb8bf6c241f084f6d6259e99b7ec6e3b510a4db6c2779"
+        )
+
     def test_incomplete_entry_is_not_a_hit(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         os.makedirs(cache.entry_dir("deadbeef"))
@@ -178,6 +190,32 @@ class TestRunner:
         assert status[victim] == "done"
         by_hash = {rec.spec.run_hash: rec.metrics for rec in first.manifest.records}
         assert ResultCache(str(tmp_path)).load_metrics(victim) == by_hash[victim]
+
+    def test_entry_from_another_model_version_is_recomputed(self, tmp_path, capsys):
+        grid = CampaignSpec(name="stale", apps=("escat", "render"))
+        first = CampaignRunner(grid, str(tmp_path), quiet=True).run()
+        assert first.ok and first.executed == 2
+        cache = ResultCache(str(tmp_path))
+        old, unversioned = (rec.spec.run_hash for rec in first.manifest.records)
+        assert cache.model_version(old) == MODEL_VERSION and not cache.stale(old)
+        # One entry from an older model, one from before entries were versioned.
+        with open(os.path.join(cache.entry_dir(old), "model_version"), "w") as fh:
+            fh.write(f"{MODEL_VERSION - 1}\n")
+        os.remove(os.path.join(cache.entry_dir(unversioned), "model_version"))
+        assert cache.stale(old) and cache.stale(unversioned)
+        assert cli_main(["campaign", "status", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"stale: model version {MODEL_VERSION - 1}, current {MODEL_VERSION}" in out
+        assert f"stale: model version none, current {MODEL_VERSION}" in out
+        again = CampaignRunner(grid, str(tmp_path), quiet=True).run()
+        assert again.ok and again.cached == 0 and again.executed == 2
+        assert not cache.stale(old) and not cache.stale(unversioned)
+        # Same run hashes, same results: only the version moved.
+        assert [r.spec.run_hash for r in again.manifest.records] == [old, unversioned]
+        by_hash = {rec.spec.run_hash: rec.metrics for rec in first.manifest.records}
+        assert cache.load_metrics(old) == by_hash[old]
+        third = CampaignRunner(grid, str(tmp_path), quiet=True).run()
+        assert third.cached == 2 and third.executed == 0
 
     def test_extending_grid_is_incremental(self, tmp_path):
         CampaignRunner(self.GRID, str(tmp_path), quiet=True).run()
