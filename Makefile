@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench perf perf-diff scale-smoke examples campaign-smoke faults-smoke telemetry-smoke ckpt-smoke fluid-smoke vfs-smoke ingest-smoke spans-smoke ledger-smoke storm-smoke clean all
+.PHONY: install test bench perf perf-diff loc scale-smoke examples campaign-smoke faults-smoke telemetry-smoke ckpt-smoke fluid-smoke vfs-smoke ingest-smoke spans-smoke ledger-smoke storm-smoke clean all
 
 CAMPAIGN_CACHE ?= .campaign-cache
 # perf-diff gate: fail when a metric is more than this factor slower than
@@ -25,6 +25,15 @@ perf:
 	PYTHONPATH=src:. python benchmarks/bench_fluid.py --scale small
 	PYTHONPATH=src:. python benchmarks/bench_ingest.py --scale small
 	PYTHONPATH=src:. python benchmarks/bench_spans_overhead.py
+
+# Size and hook counts, tracked like timings: src and test line totals,
+# `spans is (not) None` hook sites and os.environ reads under src/repro.
+loc:
+	@echo "src lines:        $$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
+	@echo "test lines:       $$(find tests -name '*.py' -exec cat {} + | wc -l)"
+	@echo "spans hook sites: $$(grep -rE --include='*.py' 'spans is (not )?None' src/repro | wc -l)"
+	@echo "os.environ reads: $$(grep -rn --include='*.py' 'os\.environ' src/repro | wc -l)"
+	@grep -rn --include='*.py' 'os\.environ' src/repro | sed 's/^/  /' || true
 
 # Production-preset (2048-node) smoke: full machine, trimmed ESCAT workload.
 scale-smoke:

@@ -47,7 +47,7 @@ def run_production(app: str, repeats: int = 1, overrides: dict | None = None) ->
     """One production-preset measurement record (wall is best-of-N)."""
     kwargs = {}
     if overrides:
-        base = APPLICATIONS[app][2]()
+        base = APPLICATIONS[app].presets["production"]()
         kwargs["config"] = dataclasses.replace(base, **overrides)
     wall_s, result = best_of(
         lambda exp: exp.run(),

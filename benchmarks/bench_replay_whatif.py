@@ -11,7 +11,7 @@ from dataclasses import replace
 from repro.apps import paper_escat
 from repro.apps.workloads import small_machine
 from repro.core import Experiment, replay_trace
-from repro.ppfs import PPFS, PPFSPolicies
+from repro.ppfs import PPFSPolicies
 
 from benchmarks._common import compare_rows, emit
 
@@ -37,18 +37,19 @@ def test_replay_whatif(benchmark):
     def sweep():
         trace = capture()
         variants = {
-            "pfs": None,
-            "write-behind": lambda m: PPFS(
-                m, policies=PPFSPolicies(write_behind=True)
-            ),
-            "tuned": lambda m: PPFS(m, policies=PPFSPolicies.escat_tuned()),
+            "pfs": {},
+            "write-behind": {
+                "filesystem": "ppfs",
+                "policies": PPFSPolicies(write_behind=True),
+            },
+            "tuned": {"filesystem": "ppfs", "policies": PPFSPolicies.escat_tuned()},
         }
         out = {}
-        for name, factory in variants.items():
+        for name, fields in variants.items():
             result = replay_trace(
                 trace,
                 machine_factory=lambda: small_machine(nodes=16, io_nodes=8),
-                fs_factory=factory,
+                **fields,
             )
             out[name] = (
                 float(result.trace.events["duration"].sum()),

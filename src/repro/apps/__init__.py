@@ -17,13 +17,11 @@ from .workloads import (
     paper_htf,
     paper_machine,
     paper_render,
-    paper_trace,
     small_checkpoint,
     small_escat,
     small_htf,
     small_machine,
     small_render,
-    small_trace,
 )
 
 __all__ = [
@@ -58,11 +56,9 @@ __all__ = [
     "paper_htf",
     "paper_machine",
     "paper_render",
-    "paper_trace",
     "small_checkpoint",
     "small_escat",
     "small_htf",
     "small_machine",
     "small_render",
-    "small_trace",
 ]

@@ -25,6 +25,7 @@ reads, 813 seeks whose cumulative distance is ~3.5 GB.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..machine.paragon import Paragon
 from ..pablo.capture import InstrumentedPFS
@@ -423,19 +424,21 @@ class HTFResult:
         return {"psetup": self.psetup, "pargos": self.pargos, "pscf": self.pscf}
 
 
+@dataclass
 class HartreeFock:
-    """Runs the three-program pipeline on one machine, tracing each."""
+    """Runs the three-program pipeline on one machine, tracing each
+    through ``capture(pfs)`` (the run assembly's capture factory; a bare
+    :class:`InstrumentedPFS` by default)."""
 
-    def __init__(self, machine: Paragon, pfs: PFS, config: HTFConfig | None = None):
-        self.machine = machine
-        self.pfs = pfs
-        self.config = config or HTFConfig()
+    machine: Paragon
+    pfs: PFS
+    config: HTFConfig = field(default_factory=HTFConfig)
+    capture: Callable[[PFS], InstrumentedPFS] = InstrumentedPFS
 
     def run(self) -> HTFResult:
         """Execute psetup, pargos, pscf sequentially; three traces."""
         traces = []
         for cls in (Psetup, Pargos, Pscf):
-            fs = InstrumentedPFS(self.pfs)
-            app = cls(machine=self.machine, fs=fs, config=self.config)
+            app = cls(machine=self.machine, fs=self.capture(self.pfs), config=self.config)
             traces.append(app.run())
         return HTFResult(*traces)

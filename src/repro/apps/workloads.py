@@ -32,9 +32,6 @@ __all__ = [
     "paper_checkpoint",
     "small_checkpoint",
     "production_checkpoint",
-    "paper_trace",
-    "small_trace",
-    "production_trace",
 ]
 
 
@@ -206,26 +203,3 @@ def small_htf(nodes: int = 8) -> HTFConfig:
         aux_large_writes=2,
         aux_seeks=9,
     )
-
-
-def paper_trace() -> "TraceReplayConfig":
-    """Trace replay has no inherent scale: the ingested trace decides.
-
-    All three presets return the same empty config — ``repro run trace
-    --input FILE`` (or an explicit ``source=``) supplies the workload.
-    """
-    # Imported lazily: apps.trace pulls in core.replay, which imports
-    # this module for its machine factories.
-    from .trace import TraceReplayConfig
-
-    return TraceReplayConfig()
-
-
-def small_trace() -> "TraceReplayConfig":
-    """See :func:`paper_trace` — the trace itself sets the scale."""
-    return paper_trace()
-
-
-def production_trace() -> "TraceReplayConfig":
-    """See :func:`paper_trace` — the trace itself sets the scale."""
-    return paper_trace()

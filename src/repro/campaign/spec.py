@@ -19,14 +19,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Iterable, Optional, Sequence
 
-from ..apps.workloads import paper_machine, production_machine, small_machine
+from ..core.assembly import FILESYSTEMS
 from ..core.experiment import Experiment
-from ..core.registry import (
-    APPLICATIONS,
-    paper_experiment,
-    production_experiment,
-    small_experiment,
-)
+from ..core.registry import APPLICATIONS, MACHINES, machine_for, scaled_experiment
 from ..faults.plan import FaultPlan
 from ..ppfs.policies import PPFSPolicies
 
@@ -36,8 +31,6 @@ __all__ = ["RunSpec", "CampaignSpec", "SPEC_VERSION"]
 #: so stale cache entries from an older scheme are never reused.
 SPEC_VERSION = 1
 
-_SCALES = ("paper", "small", "production")
-_FILESYSTEMS = ("pfs", "ppfs")
 #: Override values must survive a JSON round trip unchanged.
 _OVERRIDE_TYPES = (bool, int, float, str)
 
@@ -126,10 +119,9 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.app not in APPLICATIONS:
             raise ValueError(f"unknown app {self.app!r}; pick from {sorted(APPLICATIONS)}")
-        if self.scale not in _SCALES:
-            raise ValueError(f"scale must be one of {_SCALES}, got {self.scale!r}")
-        if self.fs not in _FILESYSTEMS:
-            raise ValueError(f"fs must be one of {_FILESYSTEMS}, got {self.fs!r}")
+        machine_for(self.scale)  # raises on an unknown scale
+        if self.fs not in FILESYSTEMS:
+            raise ValueError(f"fs must be one of {FILESYSTEMS}, got {self.fs!r}")
         if self.policy is not None:
             if self.fs != "ppfs":
                 raise ValueError(f"policy {self.policy!r} requires fs='ppfs'")
@@ -298,42 +290,27 @@ class RunSpec:
     # -- materialization ---------------------------------------------------
     def build_experiment(self) -> Experiment:
         """Assemble the :class:`Experiment` this spec describes."""
-        builders = {
-            "paper": (paper_experiment, 0, paper_machine),
-            "small": (small_experiment, 1, small_machine),
-            "production": (production_experiment, 2, production_machine),
+        kwargs: dict[str, Any] = {
+            "filesystem": self.fs,
+            "policies": PPFSPolicies.from_name(self.policy) if self.policy else None,
+            "faults": FaultPlan.from_json(self.faults) if self.faults is not None else None,
+            "telemetry": self.telemetry,
+            "burst_buffer": self.burst_buffer,
+            "fidelity": self.fidelity,
+            "spans": self.spans,
         }
-        build, config_index, machine = builders[self.scale]
-        kwargs: dict[str, Any] = {}
-        if self.trace is not None:
+        if self.trace is not None or self.overrides:
             # The trace app's presets are scale-free placeholders; the
             # config that matters is the input path (+ any overrides,
             # e.g. think_time).
-            base = APPLICATIONS[self.app][config_index]()
+            source = {} if self.trace is None else {"source": self.trace}
             kwargs["config"] = dataclasses.replace(
-                base, source=self.trace, **dict(self.overrides)
+                APPLICATIONS[self.app].presets[self.scale](),
+                **source, **dict(self.overrides),
             )
-        elif self.overrides:
-            base = APPLICATIONS[self.app][config_index]()
-            kwargs["config"] = dataclasses.replace(base, **dict(self.overrides))
         if self.seed is not None:
-            kwargs["machine_factory"] = partial(machine, seed=self.seed)
-        if self.fs == "ppfs":
-            kwargs["filesystem"] = "ppfs"
-            kwargs["policies"] = (
-                PPFSPolicies.from_name(self.policy) if self.policy else PPFSPolicies()
-            )
-        if self.faults is not None:
-            kwargs["faults"] = FaultPlan.from_json(self.faults)
-        if self.telemetry is not None:
-            kwargs["telemetry"] = self.telemetry
-        if self.burst_buffer is not None:
-            kwargs["burst_buffer"] = self.burst_buffer
-        if self.fidelity is not None:
-            kwargs["fidelity"] = self.fidelity
-        if self.spans is not None:
-            kwargs["spans"] = self.spans
-        return build(self.app, **kwargs)
+            kwargs["machine_factory"] = partial(MACHINES[self.scale], seed=self.seed)
+        return scaled_experiment(self.app, self.scale, **kwargs)
 
 
 @dataclass

@@ -41,21 +41,17 @@ from typing import Optional
 
 from .analysis.report import CharacterizationReport
 from .analysis.resilience import ResilienceReport
+from .apps.trace import THINK_TIMES, TraceReplayConfig
 from .campaign.cache import MODEL_VERSION, ResultCache
 from .campaign.runner import CampaignRunner, code_version
 from .campaign.spec import CampaignSpec
+from .core.assembly import FILESYSTEMS
 from .core.compare import CrossAppComparison
-from .core.registry import (
-    APPLICATIONS,
-    paper_experiment,
-    production_experiment,
-    small_experiment,
-)
-from .core.replay import THINK_TIMES, replay_trace
+from .core.registry import APPLICATIONS, MACHINES, scaled_experiment
+from .core.replay import replay_trace
 from .faults.plan import DiskFailure, FaultPlan, NodeOutage, RequestDrops
 from .pablo.trace import Trace
 from .ppfs.policies import PPFSPolicies
-from .ppfs.server import PPFS
 from .util import csv_list, parse_size
 
 __all__ = ["main"]
@@ -100,14 +96,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {code_version()}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The file-system options every simulating command reads (_fs_fields).
+    fs_options = argparse.ArgumentParser(add_help=False)
+    fs_options.add_argument("--fs", choices=FILESYSTEMS, default="pfs")
+    fs_options.add_argument("--policies", choices=PPFSPolicies.presets(), default=None)
 
-    run = sub.add_parser("run", help="run an application and characterize it")
-    run.add_argument("app", choices=sorted(APPLICATIONS))
-    run.add_argument(
-        "--scale", choices=["paper", "small", "production"], default="small"
+    run = sub.add_parser(
+        "run", parents=[fs_options], help="run an application and characterize it"
     )
-    run.add_argument("--fs", choices=["pfs", "ppfs"], default="pfs")
-    run.add_argument("--policies", choices=PPFSPolicies.presets(), default=None)
+    run.add_argument("app", choices=sorted(APPLICATIONS))
+    run.add_argument("--scale", choices=list(MACHINES), default="small")
     run.add_argument("--save-dir", default=None, metavar="DIR",
                      help="write SDDF trace(s) into DIR")
     run.add_argument("--faults", default=None, metavar="PLAN",
@@ -147,10 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compare", help="cross-application comparison")
     comp.add_argument("traces", nargs="+", help="two or more .sddf traces")
 
-    rep = sub.add_parser("replay", help="replay a trace on another configuration")
+    rep = sub.add_parser(
+        "replay", parents=[fs_options], help="replay a trace on another configuration"
+    )
     rep.add_argument("trace", help="path to a trace file (.sddf/.jsonl/.csv)")
-    rep.add_argument("--fs", choices=["pfs", "ppfs"], default="pfs")
-    rep.add_argument("--policies", choices=PPFSPolicies.presets(), default=None)
     rep.add_argument("--think", choices=THINK_TIMES, default="preserve")
 
     ing = sub.add_parser(
@@ -165,12 +163,10 @@ def _build_parser() -> argparse.ArgumentParser:
     iconv.add_argument("dst", help="output trace (.jsonl/.csv/.sddf)")
 
     irep = isub.add_parser(
-        "replay", help="ingest an external trace and replay it (alias of "
-        "'replay' that prints ingest statistics first)"
+        "replay", parents=[fs_options], help="ingest an external trace and "
+        "replay it (alias of 'replay' that prints ingest statistics first)"
     )
     irep.add_argument("src", help="input trace (.jsonl/.csv/.sddf)")
-    irep.add_argument("--fs", choices=["pfs", "ppfs"], default="pfs")
-    irep.add_argument("--policies", choices=PPFSPolicies.presets(), default=None)
     irep.add_argument("--think", choices=THINK_TIMES, default="preserve")
 
     camp = sub.add_parser(
@@ -306,10 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policies(name: Optional[str]) -> Optional[PPFSPolicies]:
-    return PPFSPolicies.from_name(name) if name else None
-
-
 def _load_fault_plan(text: str) -> FaultPlan:
     """A fault plan from a JSON file path or inline JSON text."""
     if os.path.exists(text):
@@ -317,18 +309,20 @@ def _load_fault_plan(text: str) -> FaultPlan:
     return FaultPlan.from_json(text)
 
 
-def _cmd_run(args) -> int:
-    build = {
-        "paper": paper_experiment,
-        "small": small_experiment,
-        "production": production_experiment,
-    }[args.scale]
-    kwargs = {}
-    if args.fs == "ppfs":
-        kwargs["filesystem"] = "ppfs"
-        kwargs["policies"] = _policies(args.policies) or PPFSPolicies()
-    elif args.policies:
+def _fs_fields(args) -> Optional[dict]:
+    """The file-system fields ``--fs``/``--policies`` select, or None
+    (after reporting why) when policies are asked for without PPFS."""
+    if not args.policies:
+        return {"filesystem": args.fs}
+    if args.fs != "ppfs":
         print("--policies requires --fs ppfs", file=sys.stderr)
+        return None
+    return {"filesystem": "ppfs", "policies": PPFSPolicies.from_name(args.policies)}
+
+
+def _cmd_run(args) -> int:
+    kwargs = _fs_fields(args)
+    if kwargs is None:
         return 2
     if args.faults:
         try:
@@ -352,23 +346,18 @@ def _cmd_run(args) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"bad burst-buffer capacity: {exc}", file=sys.stderr)
             return 2
-    if args.fidelity is not None:
-        kwargs["fidelity"] = args.fidelity
-    if args.spans:
-        kwargs["spans"] = True
+    kwargs.update(fidelity=args.fidelity, spans=args.spans)
     if args.app == "trace":
         if not args.input:
             print("the trace app needs --input FILE", file=sys.stderr)
             return 2
-        from .apps.trace import TraceReplayConfig
-
         kwargs["config"] = TraceReplayConfig(
             source=args.input, think_time=args.think
         )
     elif args.input:
         print("--input applies to the trace app only", file=sys.stderr)
         return 2
-    result = build(args.app, **kwargs).run()
+    result = scaled_experiment(args.app, args.scale, **kwargs).run()
     for name, trace in result.traces.items():
         print(CharacterizationReport(trace).render())
         print()
@@ -380,13 +369,12 @@ def _cmd_run(args) -> int:
             path = os.path.join(args.save_dir, f"{name}.sddf")
             trace.save(path)
             print(f"trace saved: {path} ({len(trace)} events)")
-    app_stats = getattr(result.app, "stats", None)
-    if hasattr(app_stats, "checkpoints_taken"):
+    if args.app == "checkpoint":
         from .analysis.checkpoint import CheckpointReport
 
         bb = getattr(result.machine, "burstbuffer", None)
         report = CheckpointReport(
-            app_stats,
+            result.app.stats,
             interval_s=result.app.config.interval_s,
             burst_buffer=bb.stats_dict() if bb is not None else None,
         )
@@ -435,13 +423,11 @@ def _cmd_compare(args) -> int:
 def _cmd_replay(args) -> int:
     from .ingest import load_trace
 
+    fields = _fs_fields(args)
+    if fields is None:
+        return 2
     trace = load_trace(args.trace)
-    policies = _policies(args.policies)
-    if args.fs == "ppfs":
-        fs_factory = lambda m: PPFS(m, policies=policies or PPFSPolicies())  # noqa: E731
-    else:
-        fs_factory = None
-    result = replay_trace(trace, fs_factory=fs_factory, think_time=args.think)
+    result = replay_trace(trace, think_time=args.think, **fields)
     print(f"replayed {len(trace)} events from {trace.application!r}")
     print(f"I/O node-time ratio (new/original): {result.io_time_ratio:.3f}")
     print(f"makespan ratio (new/original):      {result.makespan_ratio:.3f}")

@@ -1,9 +1,10 @@
 """The bring-your-own-app harness: run real Python programs on the
 simulated machine.
 
-:class:`SimMachine` assembles exactly what :class:`repro.core.Experiment`
-would — machine, PFS or PPFS with policy presets, optional burst-buffer
-tier, fault injection, telemetry, Pablo instrumentation — then executes
+:class:`SimMachine` is an :class:`~repro.core.assembly.Assembly`: it
+builds exactly what :class:`repro.core.Experiment` would — machine, PFS
+or PPFS with policy presets, optional burst-buffer tier, fault
+injection, telemetry, spans, Pablo instrumentation — then executes
 *user-written Python callables* against it instead of a built-in
 skeleton.  Each registered program gets a compute node, a worker thread,
 and a :class:`~repro.vfs.filesystem.SimFileSystem`; the program's
@@ -31,54 +32,26 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable, Optional
 
-from ..apps.workloads import paper_machine, production_machine, small_machine
-from ..core.experiment import normalize_burst_buffer, normalize_telemetry
+from ..core.assembly import Assembly, ExperimentResult
+from ..core.registry import machine_for
 from ..machine.paragon import Paragon
-from ..pablo.capture import InstrumentedPFS
 from ..pablo.trace import Trace
 from ..pfs.costs import CostModel
 from ..pfs.filesystem import PFS
 from ..ppfs.policies import PPFSPolicies
-from ..ppfs.server import PPFS
 from ..sim.resources import Barrier
 from .bridge import Channel, ProgramCrashed, pump
 from .filesystem import NodeExecutor, SimFileSystem
 
-__all__ = ["SimMachine", "VfsResult"]
-
-_MACHINES: dict[str, Callable[[], Paragon]] = {
-    "paper": paper_machine,
-    "small": small_machine,
-    "production": production_machine,
-}
+__all__ = ["SimMachine"]
 
 
-class VfsResult:
-    """Everything one :meth:`SimMachine.run` produced."""
-
-    def __init__(self, machine, fs, trace, app_name, injector=None, telemetry=None):
-        self.machine = machine
-        #: The raw file system (PFS or PPFS) the programs ran against.
-        self.fs = fs
-        #: The captured Pablo trace (all programs share it).
-        self.trace = trace
-        self.injector = injector
-        self.telemetry = telemetry
-        self._app_name = app_name
-
-    @property
-    def traces(self) -> dict[str, Trace]:
-        """Experiment-compatible {program: trace} view."""
-        return {self._app_name: self.trace}
-
-    @property
-    def makespan_s(self) -> float:
-        """Simulated clock when the last program finished."""
-        return float(self.machine.env.now)
-
-
-class SimMachine:
+class SimMachine(Assembly):
     """A simulated machine that runs arbitrary Python programs.
+
+    The machine and file system are assembled (see
+    :class:`repro.core.assembly.Assembly`) at construction, so files can
+    be staged before :meth:`run`.
 
     Parameters
     ----------
@@ -86,19 +59,13 @@ class SimMachine:
         'small', 'paper' or 'production' — picks the machine preset.
     machine_factory:
         Overrides ``scale`` with an explicit :class:`Paragon` builder.
-    filesystem / policies / costs:
-        As in :class:`repro.core.Experiment`: 'pfs' or 'ppfs', an optional
-        :class:`PPFSPolicies` preset, an optional :class:`CostModel`.
-    faults / telemetry / burst_buffer:
-        The same composition knobs experiments take — a
-        :class:`~repro.faults.FaultPlan`, a telemetry cadence/instance,
-        a burst-buffer capacity/params.
+    filesystem, policies, costs, faults, telemetry, burst_buffer, spans, capture_overhead_s:
+        The :class:`~repro.core.assembly.Assembly` fields, as in
+        :class:`repro.core.Experiment`.
     track_content:
         Store real bytes per file so reads return actual data (the
         default here, unlike the built-in skeletons: user programs
         usually care about contents).  Turn off for huge byte volumes.
-    capture_overhead_s:
-        Per-call Pablo instrumentation perturbation (default zero).
     name:
         Application name stamped into the trace.
     """
@@ -116,40 +83,32 @@ class SimMachine:
         track_content: bool = True,
         capture_overhead_s: float = 0.0,
         name: str = "byoapp",
+        spans: Any = None,
     ):
-        if machine_factory is None:
-            if scale not in _MACHINES:
-                raise ValueError(
-                    f"scale must be one of {sorted(_MACHINES)}, got {scale!r}"
-                )
-            machine_factory = _MACHINES[scale]
-        if filesystem not in ("pfs", "ppfs"):
-            raise ValueError(f"filesystem must be pfs/ppfs, got {filesystem!r}")
-        if policies is not None and filesystem != "ppfs":
-            raise ValueError("policies require filesystem='ppfs'")
+        super().__init__(
+            machine_factory=machine_factory or machine_for(scale),
+            filesystem=filesystem,
+            policies=policies,
+            costs=costs,
+            faults=faults,
+            telemetry=telemetry,
+            burst_buffer=burst_buffer,
+            spans=spans,
+            capture_overhead_s=capture_overhead_s,
+        )
         self.name = name
         self.track_content = track_content
-        self.capture_overhead_s = capture_overhead_s
-        self.machine: Paragon = machine_factory()
-        bb_params = normalize_burst_buffer(burst_buffer)
-        if bb_params is not None and self.machine.burstbuffer is None:
-            from ..machine.burstbuffer import BurstBuffer
-
-            self.machine.burstbuffer = BurstBuffer(self.machine.env, bb_params)
-        if filesystem == "ppfs":
-            self.fs: PFS = PPFS(
-                self.machine, policies=policies, costs=costs,
-                track_content=track_content,
-            )
-        else:
-            self.fs = PFS(self.machine, costs=costs, track_content=track_content)
-        self.instrumented = InstrumentedPFS(
-            self.fs, trace=Trace(application=name), overhead_s=capture_overhead_s
-        )
-        self._faults = faults
-        self._telemetry_spec = telemetry
+        self._result = self.build()
+        self.machine: Paragon = self._result.machine
+        self.fs: PFS = self._result.fs
+        self.instrumented = self.capture(self.fs, Trace(application=name))
         self._programs: dict[int, Callable[[SimFileSystem], Any]] = {}
         self._ran = False
+
+    def build_fs(self, machine: Paragon) -> PFS:
+        fs = super().build_fs(machine)
+        fs.track_content = self.track_content
+        return fs
 
     # -- setup ---------------------------------------------------------------
     def stage(self, path: str, data: bytes = b"", size: Optional[int] = None) -> None:
@@ -193,7 +152,7 @@ class SimMachine:
         return self
 
     # -- execution -------------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> VfsResult:
+    def run(self, until: Optional[float] = None) -> ExperimentResult:
         """Execute every registered program to completion; returns the
         result with the shared Pablo trace."""
         if self._ran:
@@ -202,18 +161,6 @@ class SimMachine:
             raise RuntimeError("no programs registered; call run_program() first")
         self._ran = True
         env = self.machine.env
-
-        injector = None
-        if self._faults is not None and not self._faults.empty:
-            from ..faults.inject import FaultInjector
-
-            injector = FaultInjector(self.machine, self._faults, fs=self.fs).start()
-
-        telemetry = normalize_telemetry(self._telemetry_spec)
-        if telemetry is not None:
-            telemetry.attach(self.machine, self.fs)
-            telemetry.start()
-
         barrier = Barrier(env, len(self._programs))
         channels: list[Channel] = []
         threads: list[threading.Thread] = []
@@ -276,21 +223,8 @@ class SimMachine:
                     raise exc.__cause__
                 raise exc
 
-        if injector is not None:
-            injector.finalize()
-            rows = injector.recorder.rows
-            if rows:
-                self.instrumented.trace.extend(rows)
-        if telemetry is not None:
-            telemetry.finalize()
-        return VfsResult(
-            self.machine,
-            self.fs,
-            self.instrumented.trace,
-            self.name,
-            injector=injector,
-            telemetry=telemetry,
-        )
+        self._result.traces = {self.name: self.instrumented.trace}
+        return self.finish(self._result)
 
 
 def _thread_main(channel: Channel, fn, sfs: SimFileSystem) -> None:

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import TraceDiff
 from repro.core import replay_trace, small_experiment
 from repro.pablo import Op, Trace
-from repro.ppfs import PPFS, PPFSPolicies
+from repro.ppfs import PPFSPolicies
 from tests.conftest import make_machine
 
 
@@ -56,7 +56,8 @@ class TestTraceDiff:
         replayed = replay_trace(
             original,
             machine_factory=make_machine,
-            fs_factory=lambda m: PPFS(m, policies=PPFSPolicies.escat_tuned()),
+            filesystem="ppfs",
+            policies=PPFSPolicies.escat_tuned(),
             think_time="none",
         ).trace
         diff = TraceDiff(original, replayed)

@@ -78,6 +78,23 @@ class TestExperiment:
         perturbed = slow.run()
         assert perturbed.machine.now > base.machine.now
 
+    def test_htf_honours_capture_overhead_and_observers(self):
+        """Every HTF program is captured through the run's capture
+        factory: the overhead perturbs it and observers see its events."""
+        base = small_experiment("htf").run()
+
+        class Tally:
+            events = 0
+
+            def observe(self, *event):
+                self.events += 1
+
+        tally = Tally()
+        slow = small_experiment("htf", capture_overhead_s=0.005, observers=[tally]).run()
+        assert slow.traces["pscf"].duration > base.traces["pscf"].duration
+        assert tally.events == sum(len(t) for t in slow.traces.values())
+        assert all(len(t) for t in slow.traces.values())
+
 
 class TestCharacterizationReport:
     def test_sections_present(self):

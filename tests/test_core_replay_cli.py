@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import OperationTable
+from repro.apps.workloads import small_machine
 from repro.cli import main as cli_main
 from repro.core import replay_trace, small_experiment
 from repro.pablo import Op
-from repro.ppfs import PPFS, PPFSPolicies
+from repro.ppfs import PPFSPolicies
 from tests.conftest import make_machine
 
 
@@ -42,7 +43,8 @@ class TestReplay:
         tuned = replay_trace(
             escat_small.trace,
             machine_factory=make_machine,
-            fs_factory=lambda m: PPFS(m, policies=PPFSPolicies.escat_tuned()),
+            filesystem="ppfs",
+            policies=PPFSPolicies.escat_tuned(),
             think_time="none",
         )
         plain = replay_trace(
@@ -83,6 +85,30 @@ class TestReplay:
     def test_invalid_think_time(self, escat_small):
         with pytest.raises(ValueError):
             replay_trace(escat_small.trace, think_time="wormhole")
+
+    @pytest.mark.parametrize(
+        "think,ppfs,prefix",
+        [
+            ("preserve", False, "357c2590007a"),
+            ("none", False, "90afa4246fc3"),
+            ("anchor", False, "d27df71a0700"),
+            ("none", True, "6ef6b2b996df"),
+        ],
+    )
+    def test_replay_hashes_pinned(self, escat_small, think, ppfs, prefix):
+        """Replayed event content is pinned per think-time mode and file
+        system, so a rewrite of the replay path cannot drift silently."""
+        fields = {"filesystem": "ppfs", "policies": PPFSPolicies()} if ppfs else {}
+        result = replay_trace(
+            escat_small.trace, machine_factory=small_machine, think_time=think,
+            **fields,
+        )
+        assert result.trace.application == "ESCAT-replay"
+        assert result.trace.content_hash()[:12] == prefix
+
+    def test_trace_wider_than_machine_rejected_up_front(self, escat_small):
+        with pytest.raises(ValueError, match="trace uses 8 nodes, machine has 4"):
+            replay_trace(escat_small.trace, machine_factory=lambda: small_machine(nodes=4))
 
 
 class TestCli:
@@ -130,6 +156,15 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert "I/O node-time ratio" in out
+
+    def test_replay_policies_without_ppfs_rejected(self, tmp_path, capsys):
+        save_dir = str(tmp_path / "traces")
+        cli_main(["run", "escat", "--scale", "small", "--save-dir", save_dir])
+        capsys.readouterr()
+        assert cli_main(
+            ["replay", f"{save_dir}/escat.sddf", "--policies", "escat_tuned"]
+        ) == 2
+        assert "--policies requires --fs ppfs" in capsys.readouterr().err
 
     def test_htf_run_saves_three_traces(self, tmp_path, capsys):
         save_dir = str(tmp_path / "traces")

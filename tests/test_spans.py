@@ -568,7 +568,7 @@ class TestJsonlRoundTrip:
 # -- experiment / campaign wiring ---------------------------------------------
 class TestWiring:
     def test_normalize_spans(self):
-        from repro.core.experiment import normalize_spans
+        from repro.core.assembly import normalize_spans
 
         assert normalize_spans(None) is None
         assert normalize_spans(False) is None

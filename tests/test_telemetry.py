@@ -406,14 +406,18 @@ class TestTelemetryRuntime:
         assert escat_telemetry.registry.as_dict() == before
 
     def test_experiment_spec_normalization(self):
-        exp = small_experiment("escat", telemetry=True)
-        assert isinstance(exp._build_telemetry(), Telemetry)
-        assert exp._build_telemetry().cadence_s == DEFAULT_CADENCE_S
-        assert small_experiment("escat", telemetry=2.5)._build_telemetry().cadence_s == 2.5
-        assert small_experiment("escat")._build_telemetry() is None
-        assert small_experiment("escat", telemetry=False)._build_telemetry() is None
+        from repro.core.assembly import normalize_telemetry
+
+        def built(**fields):
+            return normalize_telemetry(small_experiment("escat", **fields).telemetry)
+
+        assert isinstance(built(telemetry=True), Telemetry)
+        assert built(telemetry=True).cadence_s == DEFAULT_CADENCE_S
+        assert built(telemetry=2.5).cadence_s == 2.5
+        assert built() is None
+        assert built(telemetry=False) is None
         prepared = Telemetry(cadence_s=3.0)
-        assert small_experiment("escat", telemetry=prepared)._build_telemetry() is prepared
+        assert built(telemetry=prepared) is prepared
 
 
 # -- exporters ---------------------------------------------------------------

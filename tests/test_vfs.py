@@ -301,6 +301,22 @@ class TestHarness:
         result = run_single(prog, telemetry=True)
         assert result.telemetry is not None
 
+    def test_spans_record_one_op_span_per_event(self):
+        def prog(fs):
+            with fs.open(f"/d/f{fs.node}", "wb") as f:
+                f.write(b"z" * 100_000)
+            with fs.open(f"/d/f{fs.node}", "rb") as f:
+                f.seek(1024)
+                f.read(4096)
+
+        sm = SimMachine(scale="small", spans=True)
+        sm.run_program(prog, nodes=range(4))
+        result = sm.run()
+        ops = [s for s in result.spans.store.iter_spans() if s["kind"].startswith("op.")]
+        assert len(result.trace) > 0
+        assert len(ops) == len(result.trace)
+        assert result.makespan_s == result.machine.env.now > 0
+
 
 class TestDeterminism:
     @staticmethod
