@@ -69,7 +69,9 @@ campaign-smoke:
 faults-smoke:
 	PYTHONPATH=src python -m repro faults example --out $(CAMPAIGN_CACHE).plan.json
 	PYTHONPATH=src python -m repro campaign run --name faults-smoke \
-		--apps escat,render --faults none,$(CAMPAIGN_CACHE).plan.json \
+		--apps escat,render,checkpoint --fs pfs,ppfs \
+		--policies none,escat_tuned,two_level \
+		--faults none,$(CAMPAIGN_CACHE).plan.json \
 		--jobs 2 --cache-dir $(CAMPAIGN_CACHE) --quiet
 	PYTHONPATH=src python -m repro campaign status --cache-dir $(CAMPAIGN_CACHE)
 	PYTHONPATH=src python -m repro campaign clean --cache-dir $(CAMPAIGN_CACHE)

@@ -16,9 +16,9 @@ The model here is one shared log per machine:
   application can outrun the disks), accumulating ``stall_s``;
 * **async drainer** — a callback-chained loop (no Process per chunk)
   that replays logged extents through the file system's ``_fanout`` in
-  ``drain_chunk_bytes`` pieces, oldest first.  Issuing through
-  ``fs._fanout`` means retry/failover (:mod:`repro.pfs.retry`) applies
-  to destage traffic exactly as it does to foreground writes;
+  ``drain_chunk_bytes`` pieces, oldest first.  The fan-out consults
+  ``fs.retry``, so retry/failover (:mod:`repro.pfs.retry`) applies to
+  destage traffic exactly as it does to foreground writes;
 * **write-through bypass** — ``mode="writethrough"`` (or an injected
   drain failure that leaves the log full) forwards writes straight to
   the RAID fan-out, so the tier can be A/B'd and degrades gracefully;

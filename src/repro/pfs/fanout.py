@@ -1,11 +1,11 @@
 """One completion primitive for striped chunk fan-outs.
 
-Every striped request — plain PFS, the PPFS server-cache layer, the
-write-behind flusher's fallback — ends the same way: *n* per-chunk
-completions fold into one ``done`` event.  :class:`Join` holds that
-pattern once.
+Every striped request — plain PFS, the PPFS server-cache layer, an
+I/O node's per-chunk fallback for a ``submit_batch`` cohort — ends the
+same way: *n* per-chunk completions fold into one ``done`` event.
+:class:`Join` holds that pattern once.
 
-A chunk reaches the join in one of two ways:
+A chunk reaches the join in one of three ways:
 
 * **per-chunk** — the chunk has its own completion event and
   :meth:`Join.add` (or ``IONode.submit(..., join=join)`` on a queue that
@@ -13,7 +13,11 @@ A chunk reaches the join in one of two ways:
 * **folded** — an eager FIFO I/O node prices the chunk at arrival, knows
   its completion time already, and instead of arming a kernel event
   reserves the sequence number that event would have taken and hands
-  the join the ``(end, seq)`` key (``IONode._eager_submit``).
+  the join the ``(end, seq)`` key (``IONode._eager_submit``);
+* **retried** — with ``fs.retry`` set, the attempt loop
+  (:meth:`repro.pfs.retry.Retry.run`) counts the chunk down once it has
+  settled: :meth:`Join.chunk_done` on success, :meth:`Join.chunk_failed`
+  on a fatal error.  The first fatal error fails ``done``.
 
 Once every chunk is priced the join arms a single kernel event at the
 largest folded key.  It replays what that chunk's completion did: a
@@ -44,11 +48,14 @@ class Join:
     """``n`` chunk completions folded into one :attr:`done` event.
 
     ``done`` fires (value ``None``) on the hop after the last chunk
-    completes.  Per-chunk completions are counted whether they succeed or
-    fail, as the retry-free fan-out always has.
+    completes, or fails with the first error passed to
+    :meth:`chunk_failed`.  Per-chunk completions are counted whether
+    they succeed or fail, as the retry-free fan-out always has.
     """
 
-    __slots__ = ("env", "done", "_remaining", "_unpriced", "_folded", "_top", "_armed")
+    __slots__ = (
+        "env", "done", "_remaining", "_unpriced", "_folded", "_top", "_armed", "_failure",
+    )
 
     def __init__(self, env: Environment, n: int):
         self.env = env
@@ -59,13 +66,27 @@ class Join:
         self._folded: list = []
         self._top: Optional[list] = None  # the folded entry with max (end, seq)
         self._armed: Optional[Event] = None  # kernel event replaying _top
+        self._failure: Optional[BaseException] = None  # first fatal chunk error
 
     # -- per-chunk completions ------------------------------------------------
-    def chunk_done(self, _event: Event) -> None:
+    def chunk_done(self, _event: Optional[Event]) -> None:
         """Completion callback for a chunk with its own event."""
         self._remaining -= 1
         if not self._remaining:
+            self._complete()
+
+    def chunk_failed(self, exc: BaseException) -> None:
+        """Count a chunk that failed fatally; the first such error is
+        what ``done`` fails with once every chunk has settled."""
+        if self._failure is None:
+            self._failure = exc
+        self.chunk_done(None)
+
+    def _complete(self) -> None:
+        if self._failure is None:
             self.done.succeed()
+        else:
+            self.done.fail(self._failure)
 
     def add(self, event: Event, callback: Optional[Callable[[Event], None]] = None) -> None:
         """Count a chunk whose completion is ``event``; ``callback``
@@ -104,7 +125,7 @@ class Join:
         self._folded = []
         self._top = None
         if not self._remaining:
-            self.done.succeed()
+            self._complete()
 
     def unfold(self) -> None:
         """Give every folded chunk its own completion back.

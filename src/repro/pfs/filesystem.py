@@ -25,7 +25,8 @@ default placement, M_GLOBAL collective reads, M_ASYNC's missing atomicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..machine.paragon import Paragon
 from ..sim.core import Environment, Event, Timeout
@@ -134,6 +135,9 @@ class PFS:
         #: Span recorder (repro.spans); None = off, and the data path then
         #: costs one attribute check per request.
         self.spans = None
+        #: Retry/failover (repro.pfs.retry); None = fault-free, and the
+        #: data path then costs one attribute check per request.
+        self.retry = None
         #: Fluid-fidelity servicer (repro.sim.fluid); None = event mode,
         #: and applications then run every phase discretely.
         self.fluid = None
@@ -159,10 +163,6 @@ class PFS:
         ]
 
     # ------------------------------------------------------------------ utils
-    def _io_mesh_node(self, ionode_index: int) -> int:
-        """Mesh position representing an I/O node (spread along the mesh)."""
-        return self._io_mesh_pos[ionode_index]
-
     def _copier(self, node: int) -> Resource:
         """Per-node client copy engine (serializes async completions)."""
         res = self._copy_engine.get(node)
@@ -427,7 +427,10 @@ class PFS:
         :class:`~repro.pfs.fanout.Join`.  Eager FIFO nodes fold the
         chunk completions into one kernel event for the whole request;
         scalar queues count each chunk down.  All hops in both forms are
-        zero-delay, so completion times are unchanged.
+        zero-delay, so completion times are unchanged.  With ``retry``
+        set, each chunk instead goes through the retry attempt loop
+        (:meth:`_send` is one attempt) and a fatal failure fails the
+        returned event.
         """
         env = self.env
         mesh = self.machine.mesh
@@ -438,13 +441,16 @@ class PFS:
         spans = self.spans
         parent = -1  # causal span the chunks nest under; -1 with spans off
         if spans is not None:
-            parent = spans.fanout_parent
-            if parent >= 0:
-                spans.fanout_parent = -1
-            else:
-                parent = -2 - node
+            parent = spans.take_fanout_parent(node)
             mesh_ext = spans.mesh_raw.append
             now = env.now
+        retry = self.retry
+        if retry is not None:
+            send = partial(self._send, node, f, is_write, parent)
+            for chunk in chunks:
+                retry.run(chunk, send, node, f.file_id, parent,
+                          join.chunk_done, join.chunk_failed)
+            return join.done
         for chunk in chunks:
             ion = ionodes[chunk.ionode]
             extra = self._chunk_extra(chunk.nbytes, is_write)
@@ -457,6 +463,27 @@ class PFS:
 
             Timeout(env, delay).callbacks.append(_arrived)
         return join.done
+
+    def _send(self, node: int, f: PFSFile, is_write: bool, parent: float, chunk,
+              finish: Callable[[Event], None], control_s: Optional[float] = None) -> None:
+        """One attempt at one chunk on the retry path: the mesh hop, then
+        the submit at arrival (a control op of ``control_s`` when set),
+        with ``finish`` hung on its service event."""
+        env = self.env
+        ion = self.machine.ionodes[chunk.ionode]
+        delay = self.machine.mesh.message_time(node, self._io_mesh_pos[chunk.ionode], chunk.nbytes)
+        if self.spans is not None:
+            self.spans.mesh_raw.append((parent, node, env.now, env.now + delay, chunk.nbytes))
+
+        def _arrived(_ev):
+            if control_s is None:
+                extra = self._chunk_extra(chunk.nbytes, is_write)
+                ev = ion.submit(chunk.disk_offset, chunk.nbytes, is_write, extra, parent)
+            else:
+                ev = ion.submit_control(control_s, parent)
+            ev.callbacks.append(finish)
+
+        Timeout(env, delay).callbacks.append(_arrived)
 
     def _transfer(self, node: int, f: PFSFile, offset: int, nbytes: int, is_write: bool):
         """Move ``nbytes`` between the client and the striped I/O nodes.

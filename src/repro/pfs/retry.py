@@ -22,26 +22,30 @@ standard distributed-systems answer:
   request with :class:`~repro.pfs.errors.RetryBudgetExceeded`, a typed
   *fatal* error.  Nothing hangs and nothing silently succeeds.
 
-:func:`install_retry` swaps a retrying fan-out into a live file system
-as an *instance* attribute, shadowing both :meth:`PFS._fanout` and the
-PPFS server-cache variant; fault-free runs never pay for any of this
-because the injector only installs it when the plan is non-empty.
+:func:`install_retry` sets ``fs.retry`` to a :class:`Retry`, whose
+:meth:`Retry.run` is the one per-chunk attempt loop.  Every striped
+issuer reads ``fs.retry`` once per request: the fan-outs send each chunk
+through it (mesh hop, then submit), the write-behind flusher with direct
+submits.  It stays ``None`` for an empty plan, so fault-free runs pay
+one attribute check per request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any
+from itertools import count, islice
+from typing import Any, Callable, Iterator
 
 from ..sim.core import Event, Timeout
 from .errors import IONodeUnavailable, RetryBudgetExceeded, TransientIOError
+from .striping import Chunk
 
 __all__ = [
     "RetryPolicy",
     "backoff_delay",
+    "backoff_delays",
     "backoff_schedule",
-    "retrying_fanout",
+    "Retry",
     "install_retry",
 ]
 
@@ -120,172 +124,107 @@ def backoff_delay(policy: RetryPolicy, attempt: int, prev_delay: float, rng) -> 
     return min(max(prev_delay, jittered), ceiling)
 
 
-def backoff_schedule(policy: RetryPolicy, n: int, rng) -> list[float]:
-    """The first ``n`` realized re-issue delays for one chunk.
+def backoff_delays(policy: RetryPolicy, rng) -> Iterator[float]:
+    """One chunk's realized re-issue delays, drawn lazily in order.
 
-    Chains :func:`backoff_delay` through its own recurrence — the exact
-    sequence the retrying fan-out would wait, given the same stream.
+    Chains :func:`backoff_delay` through its own recurrence; each
+    ``next`` is one re-issue and consumes one draw from ``rng`` at that
+    moment, which is how :meth:`Retry.run` takes them.
     """
-    delays: list[float] = []
     prev = 0.0
-    for attempt in range(1, n + 1):
+    for attempt in count(1):
         prev = backoff_delay(policy, attempt, prev, rng)
-        delays.append(prev)
-    return delays
+        yield prev
 
 
-def retrying_fanout(fs, domain, node: int, f, offset: int, nbytes: int, is_write: bool) -> Event:
-    """Striped chunk fan-out with per-chunk retry, failover, and a budget.
+def backoff_schedule(policy: RetryPolicy, n: int, rng) -> list[float]:
+    """The first ``n`` realized re-issue delays for one chunk — the exact
+    sequence :meth:`Retry.run` would wait, given the same stream."""
+    return list(islice(backoff_delays(policy, rng), n))
 
-    Mirrors :meth:`repro.pfs.filesystem.PFS._fanout` (and the PPFS
-    server-cache variant, duck-typed via ``fs.server_cache``): one mesh
-    :class:`Timeout` per chunk whose arrival callback submits to the I/O
-    node.  The difference is that each chunk's completion callback
-    inspects the service event: transient failures re-issue after a
-    jittered backoff (racing the node's restart when it is down), fatal
-    failures — or a spent budget — fail the returned event with the
-    first fatal error once every chunk has settled.
 
-    ``domain`` supplies ``policy`` (a :class:`RetryPolicy`),
-    ``backoff_rng`` (a deterministic stream), and ``recorder`` (a
-    :class:`repro.faults.FaultRecorder` or None) for RETRY trace rows.
-    """
-    env = fs.env
-    mesh = fs.machine.mesh
-    ionodes = fs.machine.ionodes
-    io_pos = fs._io_mesh_pos
-    policy = domain.policy
-    recorder = domain.recorder
-    rng = domain.backoff_rng
-    telem = getattr(fs, "telemetry", None)
-    file_id = f.file_id
-    chunks = f.layout.decompose(offset, nbytes)
-    done = Event(env)
-    if not chunks:
-        return done.succeed()
-    state: dict[str, Any] = {"remaining": len(chunks), "failure": None}
+@dataclass(frozen=True)
+class Retry:
+    """The retry policy every striped issuer consults, as ``fs.retry``:
+    the plan's :class:`RetryPolicy`, the deterministic backoff stream and
+    the recorder for RETRY trace rows.  :meth:`run` is the one per-chunk
+    attempt loop the fan-outs and the write-behind flusher share."""
 
-    pol = getattr(fs, "policies", None)
-    server_blocks = getattr(pol, "server_cache_blocks", 0) if pol is not None else 0
-    use_cache = server_blocks > 0
-    cache_block = pol.server_cache_block_bytes if use_cache else 1
-    hit_s = pol.server_cache_hit_s if use_cache else 0.0
-    spans = getattr(fs, "spans", None)
-    if spans is not None:
-        root = spans.fanout_parent
-        if root >= 0:
-            spans.fanout_parent = -1
-        else:
-            root = -2 - node
-    else:
-        root = -1
+    fs: Any
+    policy: RetryPolicy
+    rng: Any
+    recorder: Any = None
 
-    def settle() -> None:
-        state["remaining"] -= 1
-        if not state["remaining"]:
-            failure = state["failure"]
-            if failure is None:
-                done.succeed()
-            else:
-                done.fail(failure)
+    def run(self, chunk: Chunk, send: Callable, node: int, file_id: int, parent: float,
+            ok: Callable, fatal: Callable, what: str = "chunk") -> None:
+        """Send ``chunk`` until it succeeds, fails fatally or spends the budget.
 
-    def launch(chunk, attempt: int, prev_delay: float) -> None:
-        delay = mesh.message_time(node, io_pos[chunk.ionode], chunk.nbytes)
-        if spans is not None:
-            spans.mesh_raw.append((root, node, env.now, env.now + delay, chunk.nbytes))
-        msg = Timeout(env, delay)
-        msg.callbacks.append(
-            lambda _ev: issue(chunk, ionodes[chunk.ionode], attempt, prev_delay)
-        )
+        ``send(chunk, finish)`` starts one attempt and hangs ``finish`` on
+        its service event.  Success calls ``ok(event)``; a non-transient
+        error, or a transient one on the last attempt (as
+        :class:`RetryBudgetExceeded` naming ``what``), calls
+        ``fatal(exc)``.  Any other transient error re-sends after a
+        jittered backoff, or as soon as the node restarts if it is down;
+        each re-send writes a RETRY row and a ``retry.backoff`` span
+        carrying ``node`` and ``parent``.
+        """
+        env = self.fs.env
+        max_attempts = self.policy.max_attempts
+        delays = backoff_delays(self.policy, self.rng)
+        ion = self.fs.machine.ionodes[chunk.ionode]
 
-    def issue(chunk, ion, attempt: int, prev_delay: float) -> None:
-        insert = None
-        if use_cache:
-            cache = fs.server_cache(chunk.ionode)
-            first = chunk.disk_offset // cache_block
-            last = (chunk.disk_offset + chunk.nbytes - 1) // cache_block
-            if not is_write and cache.lookup_range(file_id, first, last):
+        def attempt(n: int) -> None:
+            send(chunk, lambda ev: finish(ev, n))
+
+        def finish(ev: Event, n: int) -> None:
+            if ev._ok:
+                ok(ev)
+                return
+            exc = ev._value
+            if not isinstance(exc, TransientIOError):
+                fatal(exc)
+                return
+            if n >= max_attempts:
+                fatal(RetryBudgetExceeded(
+                    f"{what} (ionode {chunk.ionode}, offset {chunk.disk_offset}, "
+                    f"{chunk.nbytes} B) failed {n} attempts; last: {exc}"
+                ))
+                return
+            delay = next(delays)
+            failed_at = env.now
+            fired = [False]
+
+            def resend(_ev: Event) -> None:
+                # Backoff expiry races the node restart; first wins, the
+                # other finds the flag set and does nothing.
+                if fired[0]:
+                    return
+                fired[0] = True
+                telem = self.fs.telemetry
+                if telem is not None:
+                    telem.retries += 1
+                if self.recorder is not None:
+                    self.recorder.retry(
+                        env.now, node, file_id, chunk.disk_offset, chunk.nbytes,
+                        env.now - failed_at,
+                    )
+                spans = self.fs.spans
                 if spans is not None:
                     spans.add(
-                        "scache.hit", chunk.ionode, env.now, env.now, root, chunk.nbytes
+                        "retry.backoff", node, failed_at, env.now,
+                        parent, chunk.nbytes, float(n),
                     )
-                ion.submit_control(hit_s, root).callbacks.append(
-                    lambda ev: finish(ev, chunk, ion, attempt, prev_delay, None)
-                )
-                return
-            insert = (cache, first, last)
-        extra = fs._chunk_extra(chunk.nbytes, is_write)
-        ion.submit(
-            chunk.disk_offset, chunk.nbytes, is_write, extra, root
-        ).callbacks.append(
-            lambda ev, insert=insert: finish(ev, chunk, ion, attempt, prev_delay, insert)
-        )
+                attempt(n + 1)
 
-    def finish(ev: Event, chunk, ion, attempt: int, prev_delay: float, insert) -> None:
-        if ev._ok:
-            if insert is not None:
-                cache, first, last = insert
-                cache.insert_range(file_id, first, last)
-            settle()
-            return
-        exc = ev._value
-        if not isinstance(exc, TransientIOError):
-            if state["failure"] is None:
-                state["failure"] = exc
-            settle()
-            return
-        if attempt >= policy.max_attempts:
-            if state["failure"] is None:
-                state["failure"] = RetryBudgetExceeded(
-                    f"chunk (ionode {chunk.ionode}, offset {chunk.disk_offset}, "
-                    f"{chunk.nbytes} B) failed {attempt} attempts; last: {exc}"
-                )
-            settle()
-            return
-        delay = backoff_delay(policy, attempt, prev_delay, rng)
-        failed_at = env.now
-        fired = [False]
+            Timeout(env, delay).callbacks.append(resend)
+            if isinstance(exc, IONodeUnavailable) and not ion.up:
+                ion.restart_wait().callbacks.append(resend)
 
-        def _resubmit(_ev: Event) -> None:
-            # Backoff expiry races the node restart; first wins, the
-            # other finds the flag set and does nothing.
-            if fired[0]:
-                return
-            fired[0] = True
-            if telem is not None:
-                telem.retries += 1
-            if recorder is not None:
-                recorder.retry(
-                    env.now, node, file_id, chunk.disk_offset, chunk.nbytes,
-                    env.now - failed_at,
-                )
-            if spans is not None:
-                spans.add(
-                    "retry.backoff", node, failed_at, env.now,
-                    root, chunk.nbytes, float(attempt),
-                )
-            launch(chunk, attempt + 1, delay)
-
-        Timeout(env, delay).callbacks.append(_resubmit)
-        if isinstance(exc, IONodeUnavailable) and not ion.up:
-            ion.restart_wait().callbacks.append(_resubmit)
-
-    for chunk in chunks:
-        launch(chunk, 1, 0.0)
-    return done
+        attempt(1)
 
 
 def install_retry(fs, domain):
-    """Thread retry/failover through a live file system.
-
-    Installs :func:`retrying_fanout` as an *instance* attribute (shadowing
-    the class fan-out, including PPFS's cached variant and the
-    ``server_cache_blocks == 0`` instance shortcut), and hands the domain
-    to the write-behind manager when one exists so flushed chunks retry
-    too.  Returns ``fs``.
-    """
-    fs._fanout = partial(retrying_fanout, fs, domain)
-    writeback = getattr(fs, "writeback", None)
-    if writeback is not None:
-        writeback.retry_domain = domain
+    """Set ``fs.retry`` from the domain's ``policy``, ``backoff_rng`` and
+    ``recorder`` (the fault injector); returns ``fs``."""
+    fs.retry = Retry(fs, domain.policy, domain.backoff_rng, domain.recorder)
     return fs

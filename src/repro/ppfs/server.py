@@ -102,10 +102,12 @@ class PPFS(PFS):
         completion.  Writes go through to disk and refresh the cached
         blocks (write-through at the second level — write-behind
         buffering is the client-side policy's job).  Hit state is decided
-        per chunk at issue time.  Every hop has zero simulated delay, so
-        completion timestamps are unchanged.
+        per chunk when it is sent.  Every hop has zero simulated delay, so
+        completion timestamps are unchanged.  With ``retry`` set the base
+        fan-out runs the attempt loop, and :meth:`_send` puts the cache in
+        each attempt's path under the same rule.
         """
-        if self.policies.server_cache_blocks == 0:
+        if self.retry is not None or self.policies.server_cache_blocks == 0:
             return super()._fanout(node, f, offset, nbytes, is_write)
         env = self.env
         mesh = self.machine.mesh
@@ -117,16 +119,12 @@ class PPFS(PFS):
         spans = self.spans
         parent = -1  # causal span the chunks nest under; -1 with spans off
         if spans is not None:
-            parent = spans.fanout_parent
-            if parent >= 0:
-                spans.fanout_parent = -1
-            else:
-                parent = -2 - node
+            parent = spans.take_fanout_parent(node)
             mesh_ext = spans.mesh_raw.append
             now = env.now
         for chunk in chunks:
             ion = self.machine.ionodes[chunk.ionode]
-            io_pos = self._io_mesh_node(chunk.ionode)
+            io_pos = self._io_mesh_pos[chunk.ionode]
             cache = self.server_cache(chunk.ionode)
             assert cache is not None
             first = chunk.disk_offset // block
@@ -161,6 +159,31 @@ class PPFS(PFS):
 
             msg.callbacks.append(_arrived)
         return join.done
+
+    def _send(self, node: int, f, is_write: bool, parent: float, chunk, finish) -> None:
+        """One retry-path attempt with the server cache in the path: a hit
+        (decided now, as in the fault-free fan-out) is a control submit,
+        a miss or a write serves from disk and fills the cache on success."""
+        cache = self.server_cache(chunk.ionode)
+        if cache is None:
+            return super()._send(node, f, is_write, parent, chunk, finish)
+        file_id = f.file_id
+        block = self.policies.server_cache_block_bytes
+        first = chunk.disk_offset // block
+        last = (chunk.disk_offset + chunk.nbytes - 1) // block
+        if not is_write and cache.lookup_range(file_id, first, last):
+            if self.spans is not None:
+                now = self.env.now
+                self.spans.add("scache.hit", chunk.ionode, now, now, parent, chunk.nbytes)
+            hit_s = self.policies.server_cache_hit_s
+            return super()._send(node, f, is_write, parent, chunk, finish, hit_s)
+
+        def _served(ev):
+            if ev._ok:
+                cache.insert_range(file_id, first, last)
+            finish(ev)
+
+        return super()._send(node, f, is_write, parent, chunk, _served)
 
     # -- helpers ---------------------------------------------------------------
     def cache_for(self, node: int) -> Optional[BlockCache]:

@@ -14,10 +14,12 @@ All buffered data is durable by the time :meth:`drain_file` (called from
 close) returns — write caching here increases achieved bandwidth, it
 does not reduce the volume reaching disk (§8).
 
-The flusher is allocation-lean: one submission pass pushes every chunk
-of every drainable run straight onto the I/O-node queues via
-:meth:`~repro.machine.ionode.IONode.submit`, and a single shared
-countdown completes the batch — no per-run flush Process, no per-chunk
+The flusher has one path.  A batch of drainable runs decomposes in one
+vectorized pass; fault-free, each I/O node's chunks go onto its queue as
+one :meth:`~repro.machine.ionode.IONode.submit_batch` cohort, and under
+fault injection each chunk goes through the shared retry attempt loop
+(:meth:`repro.pfs.retry.Retry.run`) instead.  One countdown per batch
+tracks it until it is durable — no per-run flush Process, no per-chunk
 serve generator.  ``ExtentSet.max_run_bytes`` lets :meth:`submit` skip
 the drain scan entirely when no pending run can qualify yet, which is
 the common case under aggregation.
@@ -29,10 +31,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..pfs.errors import IONodeUnavailable, RetryBudgetExceeded, TransientIOError
 from ..pfs.file import PFSFile
-from ..pfs.retry import backoff_delay
-from ..sim.core import Event, Timeout
+from ..pfs.striping import Chunk
+from ..sim.core import Event
 from .aggregation import ExtentSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,11 +53,8 @@ class WriteBehindManager:
         self._timer_armed = False
         self._inflight: set[object] = set()
         self._idle_event: Event | None = None
-        # Fault support: install_retry sets retry_domain; flushed chunks
-        # then retry like foreground transfers, and a fatal flush failure
-        # is parked here and raised at the next drain (write-behind has no
-        # caller to fail synchronously).
-        self.retry_domain = None
+        # A fatal flush failure under fault injection, parked here and
+        # raised at the next drain.
         self._fatal: BaseException | None = None
         #: Span recorder handle (planted by SpanRecorder.attach).
         self.spans = None
@@ -119,144 +117,40 @@ class WriteBehindManager:
     def _start_runs(self, f: PFSFile, runs: list[tuple[int, int]]) -> None:
         """Launch one file's drainable runs as background transfers.
 
-        One pass submits every stripe chunk of every run directly to its
-        I/O-node queue; a shared countdown over the chunk-completion
-        events tracks the whole batch until it is durable.  Each run
-        still counts as one logical transfer for the aggregation
-        statistics.
+        Every chunk of every run arrives at the I/O nodes now; the runs
+        decompose in one vectorized pass and one countdown tracks the
+        batch until it is durable.  Fault-free, each node's share (stable-
+        sorted, so in arrival order) is one ``submit_batch`` cohort and the
+        countdown runs over nodes.  With ``fs.retry`` set, each chunk goes
+        through the retry attempt loop in run order; a fatal failure is
+        parked in ``_fatal`` and raised at the next drain.  Each run
+        counts as one logical transfer for the aggregation statistics.
         """
         if not runs:
             return
-        if self.retry_domain is not None:
-            self._start_runs_retrying(f, runs)
-            return
         fs = self.fs
+        env = self.env
         ionodes = fs.machine.ionodes
-        decompose = f.layout.decompose
-        chunk_extra = fs._chunk_extra
+        per_byte = fs.costs.write_chunk_extra_per_byte_s
         self.transfers_issued += len(runs)
+        starts = np.fromiter((r[0] for r in runs), np.int64, len(runs))
+        run_sizes = np.fromiter((r[1] - r[0] for r in runs), np.int64, len(runs))
+        total = int(run_sizes.sum())
+        self.bytes_flushed += total
+        _, chunks = f.layout.decompose_batch(starts, run_sizes)
         spans = self.spans
+        fsid = -1
         if spans is not None:
             # Root span: the flush runs off every application thread's
             # critical path, so it cannot nest under any op span.
             fsid = spans.store.begin(
-                "wb.flush", -1, self.env.now,
-                nbytes=sum(end - start for start, end in runs),
-                aux=float(len(runs)),
+                "wb.flush", -1, env.now, nbytes=total, aux=float(len(runs))
             )
-        else:
-            fsid = -1
-        if all(ion._eager for ion in ionodes):
-            # Columnar cohort path: every chunk of every run arrives at
-            # this same instant, so each I/O node's share is one FIFO
-            # cohort.  Decompose all runs in one vectorized pass, stable-
-            # sort the chunk table by node (preserving per-node arrival
-            # order), and price each node's slice in a single vectorized
-            # submission.  Completion times are bit-identical to
-            # per-chunk submits; the countdown runs over nodes instead of
-            # chunks.
-            starts = np.fromiter((r[0] for r in runs), np.int64, len(runs))
-            ends = np.fromiter((r[1] for r in runs), np.int64, len(runs))
-            run_sizes = ends - starts
-            self.bytes_flushed += int(run_sizes.sum())
-            _, chunks = f.layout.decompose_batch(starts, run_sizes)
-            chunks = chunks[np.argsort(chunks["ionode"], kind="stable")]
-            node_ids = chunks["ionode"]
-            bounds = [0, *(np.flatnonzero(node_ids[1:] != node_ids[:-1]) + 1), len(chunks)]
-            per_byte = fs.costs.write_chunk_extra_per_byte_s
-            token = object()
-            self._inflight.add(token)
-            remaining = [len(bounds) - 1]
-
-            def _node_done(_ev):
-                remaining[0] -= 1
-                if not remaining[0]:
-                    if fsid >= 0:
-                        spans.store.finish(fsid, self.env.now)
-                    self._inflight.discard(token)
-                    if not self._inflight and self._idle_event is not None:
-                        self._idle_event.succeed()
-                        self._idle_event = None
-
-            for b0, b1 in zip(bounds[:-1], bounds[1:]):
-                group = chunks[b0:b1]
-                sizes = group["nbytes"]
-                ionodes[int(node_ids[b0])].submit_batch(
-                    group["disk_offset"], sizes, True, sizes * per_byte, fsid
-                ).callbacks.append(_node_done)
-            return
-        chunk_events: list[Event] = []
-        for start, end in runs:
-            nbytes = end - start
-            self.bytes_flushed += nbytes
-            for chunk in decompose(start, nbytes):
-                extra = chunk_extra(chunk.nbytes, is_write=True)
-                chunk_events.append(
-                    ionodes[chunk.ionode].submit(
-                        chunk.disk_offset, chunk.nbytes, True, extra, fsid
-                    )
-                )
         token = object()
         self._inflight.add(token)
-        remaining = [len(chunk_events)]
+        remaining = [len(chunks)]
 
-        def _chunk_done(_ev):
-            remaining[0] -= 1
-            if not remaining[0]:
-                if fsid >= 0:
-                    spans.store.finish(fsid, self.env.now)
-                self._inflight.discard(token)
-                if not self._inflight and self._idle_event is not None:
-                    self._idle_event.succeed()
-                    self._idle_event = None
-
-        for ev in chunk_events:
-            ev.callbacks.append(_chunk_done)
-
-    def _start_runs_retrying(self, f: PFSFile, runs: list[tuple[int, int]]) -> None:
-        """Fault-path variant of :meth:`_start_runs`.
-
-        Same submission shape (flush chunks bypass the mesh and go
-        straight to the I/O-node queues), but each chunk's completion is
-        inspected: transient failures re-issue after a jittered backoff —
-        racing the node's restart when it is down — and a spent budget or
-        fatal error parks the exception in ``_fatal`` while still
-        counting the chunk down, so :meth:`drain_all` never hangs and
-        surfaces the failure instead of losing data silently.
-        """
-        fs = self.fs
-        env = self.env
-        ionodes = fs.machine.ionodes
-        domain = self.retry_domain
-        policy = domain.policy
-        rng = domain.backoff_rng
-        recorder = domain.recorder
-        decompose = f.layout.decompose
-        file_id = f.file_id
-        specs: list[tuple[int, int, int, float]] = []
-        self.transfers_issued += len(runs)
-        for start, end in runs:
-            nbytes = end - start
-            self.bytes_flushed += nbytes
-            for chunk in decompose(start, nbytes):
-                specs.append((
-                    chunk.ionode, chunk.disk_offset, chunk.nbytes,
-                    fs._chunk_extra(chunk.nbytes, is_write=True),
-                ))
-        spans = self.spans
-        if spans is not None:
-            fsid = spans.store.begin(
-                "wb.flush", -1, env.now,
-                nbytes=sum(end - start for start, end in runs),
-                aux=float(len(runs)),
-            )
-        else:
-            fsid = -1
-        token = object()
-        self._inflight.add(token)
-        remaining = [len(specs)]
-
-        def _settle() -> None:
+        def _done(_ev=None):
             remaining[0] -= 1
             if not remaining[0]:
                 if fsid >= 0:
@@ -266,59 +160,34 @@ class WriteBehindManager:
                     self._idle_event.succeed()
                     self._idle_event = None
 
-        def _launch(spec, attempt: int, prev_delay: float) -> None:
-            ion = ionodes[spec[0]]
-            ion.submit(spec[1], spec[2], True, spec[3], fsid).callbacks.append(
-                lambda ev: _finish(ev, spec, ion, attempt, prev_delay)
-            )
+        retry = fs.retry
+        if retry is not None:
 
-        def _finish(ev, spec, ion, attempt: int, prev_delay: float) -> None:
-            if ev._ok:
-                _settle()
-                return
-            exc = ev._value
-            if not isinstance(exc, TransientIOError):
+            def _send(chunk, finish):
+                ionodes[chunk.ionode].submit(
+                    chunk.disk_offset, chunk.nbytes, True, chunk.nbytes * per_byte, fsid
+                ).callbacks.append(finish)
+
+            def _fatal(exc):
                 if self._fatal is None:
                     self._fatal = exc
-                _settle()
-                return
-            if attempt >= policy.max_attempts:
-                if self._fatal is None:
-                    self._fatal = RetryBudgetExceeded(
-                        f"flush chunk (ionode {spec[0]}, offset {spec[1]}, "
-                        f"{spec[2]} B) failed {attempt} attempts; last: {exc}"
-                    )
-                _settle()
-                return
-            delay = backoff_delay(policy, attempt, prev_delay, rng)
-            failed_at = env.now
-            fired = [False]
+                _done()
 
-            def _resubmit(_ev) -> None:
-                if fired[0]:
-                    return
-                fired[0] = True
-                telem = fs.telemetry
-                if telem is not None:
-                    telem.retries += 1
-                if recorder is not None:
-                    recorder.retry(
-                        env.now, ion.index, file_id, spec[1], spec[2],
-                        env.now - failed_at,
-                    )
-                if fsid >= 0:
-                    spans.add(
-                        "retry.backoff", ion.index, failed_at, env.now,
-                        fsid, spec[2], float(attempt),
-                    )
-                _launch(spec, attempt + 1, delay)
-
-            Timeout(env, delay).callbacks.append(_resubmit)
-            if isinstance(exc, IONodeUnavailable) and not ion.up:
-                ion.restart_wait().callbacks.append(_resubmit)
-
-        for spec in specs:
-            _launch(spec, 1, 0.0)
+            for row in chunks.tolist():
+                chunk = Chunk(*row)
+                retry.run(chunk, _send, chunk.ionode, f.file_id, fsid, _done, _fatal,
+                          "flush chunk")
+            return
+        chunks = chunks[np.argsort(chunks["ionode"], kind="stable")]
+        node_ids = chunks["ionode"]
+        bounds = [0, *(np.flatnonzero(node_ids[1:] != node_ids[:-1]) + 1), len(chunks)]
+        remaining[0] = len(bounds) - 1
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            group = chunks[b0:b1]
+            sizes = group["nbytes"]
+            ionodes[int(node_ids[b0])].submit_batch(
+                group["disk_offset"], sizes, True, sizes * per_byte, fsid
+            ).callbacks.append(_done)
 
     def _interval_flush(self):
         """Periodic flush.

@@ -96,8 +96,8 @@ class TestEmptyFaultPlanIsZeroCost:
     """Faults off must mean *byte-identical*, not just equivalent.
 
     An Experiment built with an empty FaultPlan takes the documented
-    fast path — no retry fan-out installed, no injector processes — so
-    its traces must match the checked-in golden hashes exactly.
+    fast path — ``fs.retry`` stays None, no injector processes — so its
+    traces must match the checked-in golden hashes exactly.
     """
 
     @pytest.mark.parametrize("app", APPS)
@@ -106,6 +106,7 @@ class TestEmptyFaultPlanIsZeroCost:
         from repro.faults import FaultPlan
 
         result = small_experiment(app, faults=FaultPlan()).run()
+        assert result.fs.retry is None
         got = {
             name: trace.content_hash()
             for name, trace in sorted(result.traces.items())
