@@ -281,7 +281,7 @@ def _attribute_op(sid, s, e, children, kname, start, end) -> dict[str, float]:
     if kname(sid) == "fluid.plan":
         comp["fluid"] = e - s
         return comp
-    requests = [k for k in kids if kname(k) in ("ion.request", "ion.cohort")]
+    requests = [k for k in kids if kname(k) == "ion.request"]
     if not requests:
         # Client-local op: waits it contains are stall, the rest client.
         waits = sum(

@@ -28,9 +28,10 @@ from .spec import RunSpec
 __all__ = ["MODEL_VERSION", "ResultCache"]
 
 #: Version of the simulation model behind every cached result.  Bump it
-#: whenever the golden fixtures (``tests/data/golden_trace_hashes.json``)
-#: are regenerated, i.e. whenever a change alters simulated results.
-MODEL_VERSION = 1
+#: whenever a change alters simulated results: the golden fixtures
+#: (``tests/data/golden_trace_hashes.json``) are regenerated, or the span
+#: records whose ``summary()`` cached metrics hold change.
+MODEL_VERSION = 2
 
 _METRICS = "metrics.json"
 _SPEC = "spec.json"

@@ -29,10 +29,10 @@ submission and nothing else.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,6 +76,7 @@ class _Pending:
     # Span context, stamped at submit only when recording is on.
     arrived: float = 0.0
     span_parent: int = -1
+    span_row: int = -1
 
 
 class IONode:
@@ -102,11 +103,11 @@ class IONode:
         # absolute end time.  That collapses the scalar path's three
         # kernel events per request (dispatch deferral, service timeout,
         # completion trigger) to two and skips the queue bookkeeping.
-        # Checked per-construction so tests can flip the env var and
-        # rebuild; any fault transition permanently falls back to the
-        # scalar queue (fault plans change service rates between arrival
-        # and service, which eager precomputation cannot see).
-        self._eager = self._fifo and not os.environ.get("REPRO_NO_BATCH")
+        # Any fault transition permanently falls back to the scalar queue
+        # (fault plans change service rates between arrival and service,
+        # which eager precomputation cannot see); the scalar FIFO queue is
+        # also the reference the eager chain is tested against.
+        self._eager = self._fifo
         self._free_at = 0.0  # absolute end time of the last armed service
         # Priced, not yet completed services in FIFO order, one entry
         # ``[end, seq, done, join, node]`` each.  A chunk folded into a
@@ -208,24 +209,10 @@ class IONode:
             return self._eager_submit(
                 offset, nbytes, is_write, extra_s, False, span_parent, join
             )
-        # Inlined _submit: this is the per-chunk hot path (millions of
-        # calls per paper-scale run), so it pays to skip one frame.
         req = _Pending(offset, nbytes, is_write, extra_s, Event(self.env))
         if join is not None:
             join.add(req.done)
-        spans = self._spans
-        if spans is not None:
-            req.arrived = self.env.now
-            req.span_parent = span_parent
-        if self._faulty and self._intercept(req):
-            return req.done
-        req.order = self._order
-        self._order += 1
-        self._pending.append(req)
-        if not self._busy:
-            self._busy = True
-            self.env.defer(self._serve_next)
-        return req.done
+        return self._submit(req, span_parent)
 
     def serve(self, offset: int, nbytes: int, is_write: bool, extra_s: float = 0.0):
         """Process generator: queue a data request; returns its in-service
@@ -260,12 +247,17 @@ class IONode:
         yield self.submit_control(service_s)
 
     def _submit(self, req: _Pending, span_parent: float = -1.0) -> Event:
-        spans = self._spans
-        if spans is not None:
-            req.arrived = self.env.now
-            req.span_parent = span_parent
         if self._faulty and self._intercept(req):
             return req.done
+        spans = self._spans
+        if spans is not None:
+            # Hold the row's slot now, so rows land in submit order as on
+            # the eager chain; _serve_next fills it.  A request failed
+            # before service leaves its slot None.
+            req.arrived = self.env.now
+            req.span_parent = span_parent
+            req.span_row = len(spans.ion_raw)
+            spans.ion_raw.append(None)
         req.order = self._order
         self._order += 1
         self._pending.append(req)
@@ -348,7 +340,7 @@ class IONode:
                     span_parent,
                     self.index,
                     env.now,
-                    end - service,
+                    service,
                     end,
                     offset,
                     nbytes,
@@ -380,7 +372,8 @@ class IONode:
         site.  ``extra_s`` is a scalar or a per-request sequence.  Falls
         back to per-request submits counted down by a
         :class:`~repro.pfs.fanout.Join` whenever the eager path is
-        off (SSTF, faults, ``REPRO_NO_BATCH``).
+        off (SSTF, faults).  Either way each request stages one span row,
+        the same row in the same order.
         """
         n = len(offsets)
         env = self.env
@@ -400,6 +393,8 @@ class IONode:
             return join.done
         offsets = np.asarray(offsets, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
+        spans = self._spans
+        head = self.array._arm.head_pos if spans is not None else -1
         services = (
             self.params.request_overhead_s + np.asarray(extra_s, dtype=np.float64)
         ) + self.array.service_batch(offsets, sizes, is_write)
@@ -416,22 +411,25 @@ class IONode:
         first_start = free if free > now else now
         end = first_start
         busy = self.busy_time
-        for s in services.tolist():
+        svc = services.tolist()
+        for s in svc:
             busy += s
             end += s
         self.busy_time = busy
         self._free_at = end
         done = self._arm_done(end, float(services.sum()))
-        spans = self._spans
         if spans is not None:
-            # Explicit cohort-summary span: batched mode prices the whole
-            # burst in one sweep, so per-chunk spans don't exist here.
-            total = int(sizes.sum())
-            cohort = spans.add(
-                "ion.cohort", self.index, now, end, span_parent, total, float(n)
-            )
-            spans.add("ion.queue", self.index, now, first_start, cohort, total)
-            spans.add("ion.service", self.index, first_start, end, cohort, total)
+            # The rows per-request submits would stage: ends by the same
+            # fold, heads by the per-disk recurrence (each request leaves
+            # the arm at its per-disk end).
+            dd = self.array.params.data_disks
+            heads = [head, *(offsets[:-1] // dd - (-sizes[:-1] // dd)).tolist()]
+            extras = np.broadcast_to(np.asarray(extra_s, dtype=np.float64), (n,))
+            spans.ion_raw.extend(zip(
+                repeat(span_parent), repeat(self.index), repeat(now), svc,
+                list(accumulate(svc, initial=first_start))[1:], offsets.tolist(),
+                sizes.tolist(), extras.tolist(), heads, repeat(1.0 if is_write else 0.0),
+            ))
         return done
 
     def sync_free_at(self, end: float) -> None:
@@ -686,20 +684,17 @@ class IONode:
                 observe(req.nbytes)
         self.busy_time += service
         if spans is not None:
-            now = self.env.now
-            spans.ion_raw.append(
-                (
-                    req.span_parent,
-                    self.index,
-                    req.arrived,
-                    now,
-                    now + service,
-                    req.offset,
-                    req.nbytes,
-                    req.extra_s,
-                    -1.0 if req.control else head,
-                    1.0 if req.is_write else 0.0,
-                )
+            spans.ion_raw[req.span_row] = (
+                req.span_parent,
+                self.index,
+                req.arrived,
+                service,
+                self.env.now + service,
+                req.offset,
+                req.nbytes,
+                req.extra_s,
+                -1.0 if req.control else head,
+                1.0 if req.is_write else 0.0,
             )
         self._inflight = req
         Timeout(self.env, service).callbacks.append(partial(self._service_done, req, service))

@@ -33,11 +33,13 @@ is recorded in the event loop*:
   penalty) recomputed in closed form from the head position captured
   before service.  A ``list.append`` of a tuple is the cheapest
   per-record operation CPython offers, and the conversion cost lands
-  in the lazy finalize, outside the simulation loop.
-* Truly low-rate spans (retries, faults, fluid plans, cohort
-  summaries, background flush/drain lifetimes) go straight into the
-  columnar :class:`~repro.spans.store.SpanStore` (itself staged — a
-  scalar insert is one C-level ``array('d').extend``).
+  in the lazy finalize, outside the simulation loop.  Every queue
+  stages one ``ion_raw`` row per request, at its submit position and
+  carrying its service time, so the rows never depend on the engine.
+* Truly low-rate spans (retries, faults, fluid plans, background
+  flush/drain lifetimes) go straight into the columnar
+  :class:`~repro.spans.store.SpanStore` (itself staged — a scalar
+  insert is one C-level ``array('d').extend``).
 
 Causal links to the (synthesized, so not-yet-existing) op roots use a
 deferred encoding: a child recorded with parent ``-(node + 2)`` means
@@ -141,9 +143,10 @@ class SpanRecorder:
         #: One-shot parent slot consumed by the next ``PFS._fanout`` call
         #: (set by async issuers like ``aread``'s background transfer).
         self.fanout_parent = -1
-        #: Staged (parent, ion, arrival, start, end, offset, nbytes,
-        #: extra_s, head, write) tuples; a negative head marks a control
-        #: request.  Expanded at finalize.
+        #: Staged (parent, ion, arrival, service, end, offset, nbytes,
+        #: extra_s, head, write) tuples in submit order; a negative head
+        #: marks a control request, and a slot left None a request that
+        #: failed before service.  Expanded at finalize.
         self.ion_raw: list = []
         #: Staged (parent, node, t0, t1, nbytes) mesh-send tuples.
         self.mesh_raw: list = []
@@ -419,16 +422,19 @@ class SpanRecorder:
         self._store.extend("mesh.send", self._resolved(parent, t0), node, t0, t1, nbytes)
 
     def _expand_ion(self) -> None:
-        if not self.ion_raw:
-            return
-        raw = np.array(self.ion_raw, dtype=np.float64)
+        # Slots still None are requests failed before service.
+        rows = list(filter(None, self.ion_raw))
         self.ion_raw = []
-        parent, ion, arrival, start, end, offset, nbytes, extra, head, wr = raw.T
+        if not rows:
+            return
+        raw = np.array(rows, dtype=np.float64)
+        parent, ion, arrival, service, end, offset, nbytes, extra, head, wr = raw.T
         parent = self._resolved(parent, arrival)
-        # The eager path recovers the service start as ``end - service``,
-        # which can land one ulp outside [arrival, end]; clamp so the
-        # queue/service split always tiles the request interval exactly.
-        np.clip(start, arrival, end, out=start)
+        # Both queues stage the service, not its start: ``end - service``
+        # is the one start convention.  It can land one ulp outside
+        # [arrival, end]; clamp so the queue/service split always tiles
+        # the request interval exactly.
+        start = np.clip(end - service, arrival, end)
         store = self._store
         req = store.extend("ion.request", parent, ion, arrival, end, nbytes, wr)
         store.extend("ion.queue", req, ion, arrival, start, nbytes)

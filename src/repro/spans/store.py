@@ -27,7 +27,7 @@ A span is ``(parent, kind, node, start, end, nbytes, aux)``:
 * ``start``/``end`` — simulated seconds.  Spans opened with
   :meth:`begin` carry ``end = -1`` until :meth:`finish`.
 * ``nbytes`` — payload size where meaningful, else 0.
-* ``aux``    — kind-specific extra (cohort request count, retry
+* ``aux``    — kind-specific extra (flush run count, retry
   attempt number, file id, ...).
 """
 

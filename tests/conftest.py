@@ -5,6 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.machine import MeshParams, Paragon, ParagonConfig
+from repro.machine.ionode import IONode
+
+#: I/O-node engines: the eager FIFO chain every FIFO node starts on, and
+#: the scalar queue it is checked against (and falls back to under faults).
+ENGINES = ("eager", "scalar")
 
 
 def make_machine(nodes: int = 8, io_nodes: int = 4, seed: int = 7) -> Paragon:
@@ -24,6 +29,31 @@ def make_machine(nodes: int = 8, io_nodes: int = 4, seed: int = 7) -> Paragon:
 @pytest.fixture
 def machine() -> Paragon:
     return make_machine()
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_generate_tests(metafunc):
+    # Parametrized last so the engine id closes the test id; the eager
+    # engine keeps its "batched" id.
+    if "engine" in metafunc.fixturenames:
+        metafunc.parametrize(
+            "engine", ENGINES, ids=("batched", "scalar"), indirect=True
+        )
+
+
+@pytest.fixture
+def engine(request, monkeypatch) -> str:
+    """The I/O-node engine every node built during the test runs on:
+    ``"scalar"`` flips each new :class:`IONode` onto its scalar queue."""
+    if request.param == "scalar":
+        init = IONode.__init__
+
+        def scalar_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._eager = False
+
+        monkeypatch.setattr(IONode, "__init__", scalar_init)
+    return request.param
 
 
 @pytest.fixture(scope="session")

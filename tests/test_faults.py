@@ -383,9 +383,9 @@ class TestFaultPathPins:
     @pytest.mark.parametrize(
         "app, fs, prefix",
         [
-            ("escat", "pfs", "659d7dd83c6d"),
-            ("escat", "default", "a3f2c3e3208e"),
-            ("checkpoint", "escat_tuned", "3add729140af"),
+            ("escat", "pfs", "2d497c1b37e2"),
+            ("escat", "default", "3ecc77155293"),
+            ("checkpoint", "escat_tuned", "e50c8b412c42"),
         ],
     )
     def test_span_store_hash_pinned(self, app, fs, prefix):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.analysis import critical_path
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.core.registry import small_experiment
+from repro.ppfs.policies import PPFSPolicies
 from repro.spans import (
     SpanRecorder,
     SpanStore,
@@ -53,11 +54,17 @@ def _hashes(result):
 
 @pytest.fixture(scope="module")
 def recorded():
-    """One spans-on run per app, shared by every invariant test."""
+    """One spans-on run per app, shared by every invariant test, plus
+    ``escat_tuned``: ESCAT on PPFS, whose write-behind flusher prices its
+    bursts through ``IONode.submit_batch``."""
     out = {}
     for app in APPS:
         result = small_experiment(app, spans=True).run()
         out[app] = result
+    out["escat_tuned"] = small_experiment(
+        "escat", spans=True, filesystem="ppfs",
+        policies=PPFSPolicies.from_name("escat_tuned"),
+    ).run()
     return out
 
 
@@ -194,7 +201,7 @@ class TestRecordedInvariants:
             f"(worst error {float(err.max()):g}s)"
         )
 
-    @pytest.mark.parametrize("app", APPS)
+    @pytest.mark.parametrize("app", APPS + ("escat_tuned",))
     def test_critical_path_sums_to_phase_makespan(self, recorded, app):
         report = critical_path(recorded[app].spans.store)
         assert report.phases, f"{app}: no phases extracted"
@@ -276,19 +283,17 @@ class TestCriticalPathProperties:
 class TestSpansAreInvisible:
     """Recording must never change what the application observes."""
 
-    @pytest.mark.parametrize("mode", ("batched", "scalar"))
     @pytest.mark.parametrize("app", APPS)
-    def test_spans_on_matches_golden(self, app, mode, monkeypatch):
-        if mode == "scalar":
-            monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        else:
-            monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
+    def test_spans_on_matches_golden(self, app, engine):
         result = small_experiment(app, spans=True).run()
-        assert len(result.spans.store) > 0
+        store = result.spans.store
+        assert len(store) > 0
         assert _hashes(result) == GOLDEN[app], (
-            f"{app} with spans enabled ({mode}) perturbed the event stream — "
+            f"{app} with spans enabled ({engine}) perturbed the event stream — "
             f"a hook is no longer read-only"
         )
+        # The recorded spans do not depend on the engine either.
+        assert (_sha(to_jsonl(store)), _sha(to_chrome_json(store))) == EXPORT_PINS[app]
 
     @pytest.mark.parametrize("app", APPS)
     def test_spans_off_matches_golden(self, app):
