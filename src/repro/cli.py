@@ -104,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", parents=[fs_options], help="run an application and characterize it"
     )
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("app", choices=sorted(APPLICATIONS))
     run.add_argument("--scale", choices=list(MACHINES), default="small")
     run.add_argument("--save-dir", default=None, metavar="DIR",
@@ -140,14 +141,17 @@ def _build_parser() -> argparse.ArgumentParser:
                      "none (back-to-back) or anchor (original start times)")
 
     char = sub.add_parser("characterize", help="report a saved SDDF trace")
+    char.set_defaults(handler=_cmd_characterize)
     char.add_argument("trace", help="path to a .sddf trace file")
 
     comp = sub.add_parser("compare", help="cross-application comparison")
+    comp.set_defaults(handler=_cmd_compare)
     comp.add_argument("traces", nargs="+", help="two or more .sddf traces")
 
     rep = sub.add_parser(
         "replay", parents=[fs_options], help="replay a trace on another configuration"
     )
+    rep.set_defaults(handler=_cmd_replay)
     rep.add_argument("trace", help="path to a trace file (.sddf/.jsonl/.csv)")
     rep.add_argument("--think", choices=THINK_TIMES, default="preserve")
 
@@ -159,6 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     iconv = isub.add_parser(
         "convert", help="convert a trace between JSONL/CSV/SDDF (by extension)"
     )
+    iconv.set_defaults(handler=_cmd_ingest_convert)
     iconv.add_argument("src", help="input trace (.jsonl/.csv/.sddf)")
     iconv.add_argument("dst", help="output trace (.jsonl/.csv/.sddf)")
 
@@ -166,6 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "replay", parents=[fs_options], help="ingest an external trace and "
         "replay it (alias of 'replay' that prints ingest statistics first)"
     )
+    irep.set_defaults(handler=_cmd_ingest_replay)
     irep.add_argument("src", help="input trace (.jsonl/.csv/.sddf)")
     irep.add_argument("--think", choices=THINK_TIMES, default="preserve")
 
@@ -175,6 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = camp.add_subparsers(dest="campaign_command", required=True)
 
     crun = csub.add_parser("run", help="expand a grid and execute it")
+    crun.set_defaults(handler=_cmd_campaign_run)
     crun.add_argument("--name", default="campaign", help="campaign name")
     crun.add_argument("--apps", type=_csv, default=sorted(APPLICATIONS),
                       metavar="A,B", help="comma-separated application names")
@@ -225,23 +232,28 @@ def _build_parser() -> argparse.ArgumentParser:
                       "trace *content*, not path")
 
     cstat = csub.add_parser("status", help="summarize the result cache")
+    cstat.set_defaults(handler=_cmd_campaign_status)
     cstat.add_argument("--cache-dir", default=_DEFAULT_CACHE_DIR, metavar="DIR")
 
     cclean = csub.add_parser("clean", help="remove all cached results")
+    cclean.set_defaults(handler=_cmd_campaign_clean)
     cclean.add_argument("--cache-dir", default=_DEFAULT_CACHE_DIR, metavar="DIR")
 
     faults = sub.add_parser("faults", help="fault plans and resilience reports")
     fsub = faults.add_subparsers(dest="faults_command", required=True)
 
     frep = fsub.add_parser("report", help="resilience summary of a saved trace")
+    frep.set_defaults(handler=_cmd_faults_report)
     frep.add_argument("trace", help="path to a .sddf trace file")
     frep.add_argument("--baseline", default=None, metavar="TRACE",
                       help="fault-free twin trace for slowdown comparison")
 
     fshow = fsub.add_parser("show", help="describe a fault plan")
+    fshow.set_defaults(handler=_cmd_faults_show)
     fshow.add_argument("plan", help="fault plan (JSON file path or inline JSON)")
 
     fex = fsub.add_parser("example", help="emit a starter fault plan")
+    fex.set_defaults(handler=_cmd_faults_example)
     fex.add_argument("--out", default=None, metavar="PATH",
                      help="write the plan here instead of stdout")
 
@@ -249,9 +261,11 @@ def _build_parser() -> argparse.ArgumentParser:
     tsub = telem.add_subparsers(dest="telemetry_command", required=True)
 
     trep = tsub.add_parser("report", help="metric/profile report of a capture")
+    trep.set_defaults(handler=_cmd_telemetry_report)
     trep.add_argument("file", help="path to a .telemetry.jsonl capture")
 
     tshow = tsub.add_parser("show", help="chart a sampled time-series column")
+    tshow.set_defaults(handler=_cmd_telemetry_show)
     tshow.add_argument("file", help="path to a .telemetry.jsonl capture")
     tshow.add_argument("--column", action="append", default=[], metavar="COL",
                        help="column(s) to chart; omit to list what's available")
@@ -259,6 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tshow.add_argument("--height", type=int, default=8)
 
     texp = tsub.add_parser("export", help="convert a capture to CSV/Prometheus/Chrome")
+    texp.set_defaults(handler=_cmd_telemetry_export)
     texp.add_argument("file", help="path to a .telemetry.jsonl capture")
     texp.add_argument("--format", choices=["csv", "prom", "chrome"], default="csv",
                       help="csv = the sampled time series, prom = the "
@@ -271,9 +286,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ssub = spans.add_subparsers(dest="spans_command", required=True)
 
     srep = ssub.add_parser("report", help="per-kind summary of a span capture")
+    srep.set_defaults(handler=_cmd_spans_report)
     srep.add_argument("file", help="path to a .spans.jsonl capture")
 
     sshow = ssub.add_parser("show", help="list spans (optionally one subtree)")
+    sshow.set_defaults(handler=_cmd_spans_show)
     sshow.add_argument("file", help="path to a .spans.jsonl capture")
     sshow.add_argument("--kind", default=None, metavar="KIND",
                        help="only spans of this kind (e.g. ion.request)")
@@ -283,6 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stop after N spans (flat list only)")
 
     sexp = ssub.add_parser("export", help="convert a capture to Chrome trace JSON")
+    sexp.set_defaults(handler=_cmd_spans_export)
     sexp.add_argument("file", help="path to a .spans.jsonl capture")
     sexp.add_argument("--format", choices=["chrome", "jsonl"], default="chrome",
                       help="chrome = Perfetto/chrome://tracing trace-event "
@@ -296,6 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scrit = ssub.add_parser(
         "critical-path", help="per-phase makespan attribution of a capture"
     )
+    scrit.set_defaults(handler=_cmd_spans_critical_path)
     scrit.add_argument("file", help="path to a .spans.jsonl capture")
     scrit.add_argument("--ops", type=int, default=0, metavar="N",
                        help="also list the N slowest critical-chain ops per phase")
@@ -596,20 +615,24 @@ def example_fault_plan() -> FaultPlan:
     )
 
 
-def _load_telemetry_capture(path: str):
-    from .telemetry import load_jsonl
-
+def _load_capture(kind: str, path: str):
+    """A saved ``kind`` ('telemetry' or 'spans') capture, or None after
+    reporting why it cannot be read."""
+    if kind == "spans":
+        from .spans import load_jsonl
+    else:
+        from .telemetry import load_jsonl
     try:
         return load_jsonl(path)
     except (OSError, ValueError) as exc:
-        print(f"bad telemetry capture: {exc}", file=sys.stderr)
+        print(f"bad {kind} capture: {exc}", file=sys.stderr)
         return None
 
 
 def _cmd_telemetry_report(args) -> int:
     from .telemetry import render_report
 
-    data = _load_telemetry_capture(args.file)
+    data = _load_capture("telemetry", args.file)
     if data is None:
         return 2
     print(render_report(data))
@@ -619,7 +642,7 @@ def _cmd_telemetry_report(args) -> int:
 def _cmd_telemetry_show(args) -> int:
     from .telemetry import TimeSeries, chartable_columns, render_chart
 
-    data = _load_telemetry_capture(args.file)
+    data = _load_capture("telemetry", args.file)
     if data is None:
         return 2
     if not data.get("series"):
@@ -645,7 +668,7 @@ def _cmd_telemetry_show(args) -> int:
 def _cmd_telemetry_export(args) -> int:
     from .telemetry import MetricsRegistry, TimeSeries, series_to_csv, to_prometheus
 
-    data = _load_telemetry_capture(args.file)
+    data = _load_capture("telemetry", args.file)
     if data is None:
         return 2
     if args.format == "csv":
@@ -688,18 +711,8 @@ def _render_spans_summary(store) -> str:
     return "\n".join(lines)
 
 
-def _load_spans_capture(path: str):
-    from .spans import load_jsonl
-
-    try:
-        return load_jsonl(path)
-    except (OSError, ValueError) as exc:
-        print(f"bad spans capture: {exc}", file=sys.stderr)
-        return None
-
-
 def _cmd_spans_report(args) -> int:
-    store = _load_spans_capture(args.file)
+    store = _load_capture("spans", args.file)
     if store is None:
         return 2
     print(_render_spans_summary(store))
@@ -716,7 +729,7 @@ def _span_line(span: dict, indent: int = 0) -> str:
 
 
 def _cmd_spans_show(args) -> int:
-    store = _load_spans_capture(args.file)
+    store = _load_capture("spans", args.file)
     if store is None:
         return 2
     if args.root is not None:
@@ -749,7 +762,7 @@ def _cmd_spans_show(args) -> int:
 
 
 def _cmd_spans_export(args) -> int:
-    store = _load_spans_capture(args.file)
+    store = _load_capture("spans", args.file)
     if store is None:
         return 2
     if args.format == "jsonl":
@@ -761,7 +774,7 @@ def _cmd_spans_export(args) -> int:
         from .spans.export import chrome_trace_json, telemetry_counter_events
 
         if args.telemetry:
-            data = _load_telemetry_capture(args.telemetry)
+            data = _load_capture("telemetry", args.telemetry)
             if data is None:
                 return 2
             trace = to_chrome(store)
@@ -781,7 +794,7 @@ def _cmd_spans_export(args) -> int:
 def _cmd_spans_critical_path(args) -> int:
     from .analysis.critical_path import critical_path
 
-    store = _load_spans_capture(args.file)
+    store = _load_capture("spans", args.file)
     if store is None:
         return 2
     print(critical_path(store).render(top_ops=args.ops))
@@ -801,48 +814,7 @@ def _cmd_faults_example(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "campaign":
-        handler = {
-            "run": _cmd_campaign_run,
-            "status": _cmd_campaign_status,
-            "clean": _cmd_campaign_clean,
-        }[args.campaign_command]
-        return handler(args)
-    if args.command == "faults":
-        handler = {
-            "report": _cmd_faults_report,
-            "show": _cmd_faults_show,
-            "example": _cmd_faults_example,
-        }[args.faults_command]
-        return handler(args)
-    if args.command == "telemetry":
-        handler = {
-            "report": _cmd_telemetry_report,
-            "show": _cmd_telemetry_show,
-            "export": _cmd_telemetry_export,
-        }[args.telemetry_command]
-        return handler(args)
-    if args.command == "spans":
-        handler = {
-            "report": _cmd_spans_report,
-            "show": _cmd_spans_show,
-            "export": _cmd_spans_export,
-            "critical-path": _cmd_spans_critical_path,
-        }[args.spans_command]
-        return handler(args)
-    if args.command == "ingest":
-        handler = {
-            "convert": _cmd_ingest_convert,
-            "replay": _cmd_ingest_replay,
-        }[args.ingest_command]
-        return handler(args)
-    handler = {
-        "run": _cmd_run,
-        "characterize": _cmd_characterize,
-        "compare": _cmd_compare,
-        "replay": _cmd_replay,
-    }[args.command]
-    return handler(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -73,6 +73,7 @@ class _Pending:
     done: Event
     control: bool = False  # control visits: fixed service, no disk motion
     order: int = 0
+    seq: int = 0  # the completion's kernel seq, reserved at submit
     # Span context, stamped at submit only when recording is on.
     arrived: float = 0.0
     span_parent: int = -1
@@ -260,6 +261,13 @@ class IONode:
             spans.ion_raw.append(None)
         req.order = self._order
         self._order += 1
+        # Reserve the completion's seq now, as the eager chain arms it at
+        # submit: completions that tie in time across nodes then fire in
+        # submit order on both engines, not in the order their services
+        # happened to start.
+        env = self.env
+        req.seq = env._seq
+        env._seq += 1
         self._pending.append(req)
         if not self._busy:
             self._busy = True
@@ -656,11 +664,11 @@ class IONode:
     def _serve_next(self, _event: Event | None = None) -> None:
         """Take the next request per the discipline and start its service.
 
-        Callback-driven drain loop: each service is one :class:`Timeout`
-        whose completion callback acknowledges the request and chains the
-        next one — request N+1 is still selected at the instant service N
-        ends, exactly as the old generator loop did, but without a Process
-        per busy period.
+        Callback-driven drain loop: each service is one kernel event
+        whose callback acknowledges the request and chains the next one,
+        so request N+1 is selected at the instant service N ends.  That
+        event takes the seq reserved at submit, which orders tied
+        completions as the eager chain does.
         """
         pending = self._pending
         if not pending:
@@ -697,7 +705,9 @@ class IONode:
                 1.0 if req.is_write else 0.0,
             )
         self._inflight = req
-        Timeout(self.env, service).callbacks.append(partial(self._service_done, req, service))
+        self.env.schedule_reserved(
+            self.env.now + service, req.seq, partial(self._service_done, req, service)
+        )
 
     def _service_done(self, req: _Pending, service: float, _event: Event) -> None:
         if req is not self._inflight:

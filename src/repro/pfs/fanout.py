@@ -1,15 +1,17 @@
 """One completion primitive for striped chunk fan-outs.
 
-Every striped request — plain PFS, the PPFS server-cache layer, an
-I/O node's per-chunk fallback for a ``submit_batch`` cohort — ends the
-same way: *n* per-chunk completions fold into one ``done`` event.
-:class:`Join` holds that pattern once.
+Every striped request — the one client fan-out (``PFS._send``, which
+also carries the PPFS server cache's hits and fills), an I/O node's
+per-chunk fallback for a ``submit_batch`` cohort — ends the same way:
+*n* per-chunk completions fold into one ``done`` event.  :class:`Join`
+holds that pattern once.
 
 A chunk reaches the join in one of three ways:
 
 * **per-chunk** — the chunk has its own completion event and
   :meth:`Join.add` (or ``IONode.submit(..., join=join)`` on a queue that
-  is not eager) hangs :meth:`Join.chunk_done` on it, a countdown;
+  is not eager) hangs :meth:`Join.chunk_done` on it, a countdown; a
+  server-cache fill hung on the event first runs before it;
 * **folded** — an eager FIFO I/O node prices the chunk at arrival, knows
   its completion time already, and instead of arming a kernel event
   reserves the sequence number that event would have taken and hands
@@ -37,7 +39,7 @@ countdown reaches zero on the same hop as before.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from ..sim.core import Environment, Event
 
@@ -88,11 +90,10 @@ class Join:
         else:
             self.done.fail(self._failure)
 
-    def add(self, event: Event, callback: Optional[Callable[[Event], None]] = None) -> None:
-        """Count a chunk whose completion is ``event``; ``callback``
-        (default :meth:`chunk_done`) runs when it fires and must end by
-        calling :meth:`chunk_done`."""
-        event.callbacks.append(callback or self.chunk_done)
+    def add(self, event: Event) -> None:
+        """Count a chunk whose completion is ``event``: :meth:`chunk_done`
+        runs when it fires, after any callback already hung on it."""
+        event.callbacks.append(self.chunk_done)
         self._unpriced -= 1
         if not self._unpriced and self._folded:
             self._arm()

@@ -25,7 +25,6 @@ default placement, M_GLOBAL collective reads, M_ASYNC's missing atomicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 from ..machine.paragon import Paragon
@@ -118,6 +117,11 @@ class PFS:
         Store real bytes per file (for data-integrity tests).  Large runs
         leave this off and track sizes only.
     """
+
+    #: Per-chunk routing rule ``(f, chunk, is_write, parent) -> (hit_s,
+    #: fill)`` that :meth:`_send` consults; None = every chunk serves
+    #: from disk (the PPFS server cache binds one).
+    _route = None
 
     def __init__(
         self,
@@ -422,68 +426,71 @@ class PFS:
         """Start the striped per-I/O-node chunk transfers of one request;
         the returned event fires when the last chunk completes.
 
-        Each chunk is a mesh-delay :class:`Timeout` whose callback submits
-        it to its I/O node as one chunk of a shared
-        :class:`~repro.pfs.fanout.Join`.  Eager FIFO nodes fold the
-        chunk completions into one kernel event for the whole request;
-        scalar queues count each chunk down.  All hops in both forms are
+        :meth:`_send` starts every chunk as one chunk of a shared
+        :class:`~repro.pfs.fanout.Join`.  Eager FIFO nodes fold the chunk
+        completions into one kernel event for the whole request; scalar
+        queues count each chunk down.  All hops in both forms are
         zero-delay, so completion times are unchanged.  With ``retry``
-        set, each chunk instead goes through the retry attempt loop
-        (:meth:`_send` is one attempt) and a fatal failure fails the
-        returned event.
+        set, each chunk instead goes through the retry attempt loop (one
+        attempt is :meth:`_send` on that chunk alone) and a fatal failure
+        fails the returned event.
         """
+        chunks = f.layout.decompose(offset, nbytes)
+        join = Join(self.env, len(chunks))
+        # Causal span the chunks nest under; -1 with spans off.
+        parent = -1 if self.spans is None else self.spans.take_fanout_parent(node)
+        retry = self.retry
+        if retry is None:
+            self._send(node, f, is_write, parent, chunks, join=join)
+            return join.done
+
+        def send(chunk, finish):
+            self._send(node, f, is_write, parent, [chunk], finish=finish)
+
+        for chunk in chunks:
+            retry.run(chunk, send, node, f.file_id, parent, join.chunk_done, join.chunk_failed)
+        return join.done
+
+    def _send(self, node: int, f: PFSFile, is_write: bool, parent: float, chunks,
+              join: Optional[Join] = None,
+              finish: Optional[Callable[[Event], None]] = None) -> None:
+        """Give each chunk its mesh hop from ``node`` and submit it on
+        arrival, as one chunk of ``join`` or with ``finish`` hung on its
+        service event.  ``_route`` may make a chunk a control op of
+        ``hit_s`` or hang ``fill`` on its event ahead of either."""
         env = self.env
         mesh = self.machine.mesh
         ionodes = self.machine.ionodes
         io_pos = self._io_mesh_pos
-        chunks = f.layout.decompose(offset, nbytes)
-        join = Join(env, len(chunks))
         spans = self.spans
-        parent = -1  # causal span the chunks nest under; -1 with spans off
         if spans is not None:
-            parent = spans.take_fanout_parent(node)
             mesh_ext = spans.mesh_raw.append
             now = env.now
-        retry = self.retry
-        if retry is not None:
-            send = partial(self._send, node, f, is_write, parent)
-            for chunk in chunks:
-                retry.run(chunk, send, node, f.file_id, parent,
-                          join.chunk_done, join.chunk_failed)
-            return join.done
+        route = self._route
+        hit_s = fill = None
         for chunk in chunks:
             ion = ionodes[chunk.ionode]
+            if route is not None:
+                hit_s, fill = route(f, chunk, is_write, parent)
             extra = self._chunk_extra(chunk.nbytes, is_write)
             delay = mesh.message_time(node, io_pos[chunk.ionode], chunk.nbytes)
             if spans is not None:
                 mesh_ext((parent, node, now, now + delay, chunk.nbytes))
 
-            def _arrived(_ev, ion=ion, chunk=chunk, extra=extra):
-                ion.submit(chunk.disk_offset, chunk.nbytes, is_write, extra, parent, join)
+            def _arrived(_ev, ion=ion, chunk=chunk, extra=extra, hit_s=hit_s, fill=fill):
+                if hit_s is not None:
+                    ev = ion.submit_control(hit_s, parent, join)
+                elif fill is None:
+                    ev = ion.submit(chunk.disk_offset, chunk.nbytes, is_write, extra, parent, join)
+                else:
+                    ev = ion.submit(chunk.disk_offset, chunk.nbytes, is_write, extra, parent)
+                    ev.callbacks.append(fill)
+                    if join is not None:
+                        join.add(ev)
+                if finish is not None:
+                    ev.callbacks.append(finish)
 
             Timeout(env, delay).callbacks.append(_arrived)
-        return join.done
-
-    def _send(self, node: int, f: PFSFile, is_write: bool, parent: float, chunk,
-              finish: Callable[[Event], None], control_s: Optional[float] = None) -> None:
-        """One attempt at one chunk on the retry path: the mesh hop, then
-        the submit at arrival (a control op of ``control_s`` when set),
-        with ``finish`` hung on its service event."""
-        env = self.env
-        ion = self.machine.ionodes[chunk.ionode]
-        delay = self.machine.mesh.message_time(node, self._io_mesh_pos[chunk.ionode], chunk.nbytes)
-        if self.spans is not None:
-            self.spans.mesh_raw.append((parent, node, env.now, env.now + delay, chunk.nbytes))
-
-        def _arrived(_ev):
-            if control_s is None:
-                extra = self._chunk_extra(chunk.nbytes, is_write)
-                ev = ion.submit(chunk.disk_offset, chunk.nbytes, is_write, extra, parent)
-            else:
-                ev = ion.submit_control(control_s, parent)
-            ev.callbacks.append(finish)
-
-        Timeout(env, delay).callbacks.append(_arrived)
 
     def _transfer(self, node: int, f: PFSFile, offset: int, nbytes: int, is_write: bool):
         """Move ``nbytes`` between the client and the striped I/O nodes.

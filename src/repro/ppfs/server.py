@@ -22,10 +22,9 @@ from typing import Optional
 
 from ..machine.paragon import Paragon
 from ..pfs.costs import CostModel
-from ..pfs.fanout import Join
 from ..pfs.filesystem import PFS, SEEK_CUR, SEEK_END, SEEK_SET
 from ..pfs.errors import PFSError
-from ..sim.core import Event, Timeout
+from ..sim.core import Timeout
 from ..spans.record import LEAF_CACHE_HIT, LEAF_CACHE_MISS, LEAF_WB_ENQUEUE
 from .adaptive import MarkovPredictor
 from .cache import BlockCache, CacheStats
@@ -57,10 +56,8 @@ class PPFS(PFS):
         else:
             self.prefetcher = NoPrefetcher()
         self._prefetch_on = not isinstance(self.prefetcher, NoPrefetcher)
-        if pol.server_cache_blocks == 0:
-            # No second-level caches: skip the per-call disabled check in
-            # the PPFS override and dispatch straight to the base fan-out.
-            self._fanout = super()._fanout
+        if pol.server_cache_blocks:
+            self._route = self._server_route
         self.writeback = WriteBehindManager(self) if pol.write_behind else None
         # Second-level (I/O-node) caches, shared across clients (§8).
         self._server_caches: dict[int, BlockCache] = {}
@@ -89,101 +86,35 @@ class PPFS(PFS):
             total.merge(cache.stats)
         return total
 
-    def _fanout(self, node: int, f, offset: int, nbytes: int, is_write: bool) -> Event:
-        """Striped chunk fan-out with the shared I/O-node caches in the path.
+    def _server_route(self, f, chunk, is_write: bool, parent: float):
+        """The shared I/O-node caches' rule for one chunk, as ``(hit_s,
+        fill)`` for :meth:`PFS._send`; decided when the chunk is sent.
 
-        Same shape as :meth:`PFS._fanout` — one mesh :class:`Timeout`
-        per chunk whose arrival callback submits to the I/O node as one
-        chunk of a shared :class:`~repro.pfs.fanout.Join`.  Read chunks
-        fully resident in the serving node's cache become control
-        submissions (CPU + queueing, no disk motion), which eager nodes
-        fold like any other chunk.  Misses serve from disk and populate
-        the cache when their service completes, so they keep a per-chunk
-        completion.  Writes go through to disk and refresh the cached
-        blocks (write-through at the second level — write-behind
-        buffering is the client-side policy's job).  Hit state is decided
-        per chunk when it is sent.  Every hop has zero simulated delay, so
-        completion timestamps are unchanged.  With ``retry`` set the base
-        fan-out runs the attempt loop, and :meth:`_send` puts the cache in
-        each attempt's path under the same rule.
+        A read chunk fully resident in the serving node's cache is a hit:
+        a control submission of ``server_cache_hit_s`` (CPU + queueing,
+        no disk motion), which eager nodes fold like any other chunk.  A
+        miss serves from disk and ``fill`` populates the cache once its
+        service succeeds; writes go through to disk and refresh the
+        cached blocks the same way (write-through at the second level —
+        write-behind buffering is the client-side policy's job).
         """
-        if self.retry is not None or self.policies.server_cache_blocks == 0:
-            return super()._fanout(node, f, offset, nbytes, is_write)
-        env = self.env
-        mesh = self.machine.mesh
-        block = self.policies.server_cache_block_bytes
-        hit_s = self.policies.server_cache_hit_s
-        file_id = f.file_id
-        chunks = f.layout.decompose(offset, nbytes)
-        join = Join(env, len(chunks))
-        spans = self.spans
-        parent = -1  # causal span the chunks nest under; -1 with spans off
-        if spans is not None:
-            parent = spans.take_fanout_parent(node)
-            mesh_ext = spans.mesh_raw.append
-            now = env.now
-        for chunk in chunks:
-            ion = self.machine.ionodes[chunk.ionode]
-            io_pos = self._io_mesh_pos[chunk.ionode]
-            cache = self.server_cache(chunk.ionode)
-            assert cache is not None
-            first = chunk.disk_offset // block
-            last = (chunk.disk_offset + chunk.nbytes - 1) // block
-            hit = not is_write and cache.lookup_range(file_id, first, last)
-            delay = mesh.message_time(node, io_pos, chunk.nbytes)
-            msg = Timeout(env, delay)
-            if spans is not None:
-                mesh_ext((parent, node, now, now + delay, chunk.nbytes))
-                if hit:
-                    spans.add(
-                        "scache.hit", chunk.ionode, now, now, parent, chunk.nbytes
-                    )
-            if hit:
-
-                def _arrived(_ev, ion=ion):
-                    ion.submit_control(hit_s, parent, join)
-
-            else:
-                extra = self._chunk_extra(chunk.nbytes, is_write)
-
-                def _arrived(_ev, ion=ion, chunk=chunk, extra=extra,
-                             cache=cache, first=first, last=last):
-                    def _served(ev):
-                        cache.insert_range(file_id, first, last)
-                        join.chunk_done(ev)
-
-                    join.add(
-                        ion.submit(chunk.disk_offset, chunk.nbytes, is_write, extra, parent),
-                        _served,
-                    )
-
-            msg.callbacks.append(_arrived)
-        return join.done
-
-    def _send(self, node: int, f, is_write: bool, parent: float, chunk, finish) -> None:
-        """One retry-path attempt with the server cache in the path: a hit
-        (decided now, as in the fault-free fan-out) is a control submit,
-        a miss or a write serves from disk and fills the cache on success."""
         cache = self.server_cache(chunk.ionode)
-        if cache is None:
-            return super()._send(node, f, is_write, parent, chunk, finish)
-        file_id = f.file_id
         block = self.policies.server_cache_block_bytes
+        file_id = f.file_id
         first = chunk.disk_offset // block
         last = (chunk.disk_offset + chunk.nbytes - 1) // block
         if not is_write and cache.lookup_range(file_id, first, last):
-            if self.spans is not None:
+            spans = self.spans
+            if spans is not None:
                 now = self.env.now
-                self.spans.add("scache.hit", chunk.ionode, now, now, parent, chunk.nbytes)
-            hit_s = self.policies.server_cache_hit_s
-            return super()._send(node, f, is_write, parent, chunk, finish, hit_s)
+                spans.add("scache.hit", chunk.ionode, now, now, parent, chunk.nbytes)
+            return self.policies.server_cache_hit_s, None
 
-        def _served(ev):
+        def fill(ev):
             if ev._ok:
                 cache.insert_range(file_id, first, last)
-            finish(ev)
 
-        return super()._send(node, f, is_write, parent, chunk, _served)
+        return None, fill
 
     # -- helpers ---------------------------------------------------------------
     def cache_for(self, node: int) -> Optional[BlockCache]:

@@ -12,9 +12,11 @@ completion is its own kernel event.
 The oracle is :func:`reference_fanout`, the per-chunk fan-out the
 folded one replaced, installed in place of ``PFS._fanout``.  The
 scalar queue (eager off) is the second oracle for completion times,
-order and counters.  Workloads force exact ties: a distance-free mesh
-(every hop distance equal), clients writing identical disk offsets,
-and issue released by one barrier event.
+order and counters; it is the only one for PPFS's shared I/O-node
+caches, which the reference fan-out does not model.  Workloads force
+exact ties: a distance-free mesh (every hop distance equal), clients
+writing identical disk offsets, and issue released by one barrier
+event.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from repro.machine.paragon import Paragon, ParagonConfig
 from repro.pfs.fanout import Join
 from repro.pfs.filesystem import PFS
 from repro.pfs.striping import StripeLayout
+from repro.ppfs.policies import PPFSPolicies
+from repro.ppfs.server import PPFS
 from repro.sim.core import Environment, Event, SimulationError, Timeout
 from repro.telemetry import Telemetry
 
@@ -101,12 +105,14 @@ def _machine(sc):
     )
 
 
-def _run(sc, mode, probes=(), fault=None, cadence=None):
+def _run(sc, mode, probes=(), fault=None, cadence=None, two_level=False):
     """Run scenario ``sc`` with completions ``mode`` ('folded',
-    'reference' or 'scalar'); returns every observable."""
+    'reference' or 'scalar'); returns every observable.  ``two_level``
+    runs it on PPFS with shared I/O-node caches and then reads every
+    round again, so the second pass hits."""
     machine = _machine(sc)
     env = machine.env
-    fs = PFS(machine)
+    fs = PPFS(machine, PPFSPolicies.two_level()) if two_level else PFS(machine)
     for ion in machine.ionodes:
         ion._eager = mode != "scalar"
     if mode == "reference":
@@ -114,9 +120,15 @@ def _run(sc, mode, probes=(), fault=None, cadence=None):
     ionodes = machine.ionodes
     n_io = len(ionodes)
     files = [
-        types.SimpleNamespace(layout=StripeLayout(n_ionodes=n_io, base=0 if sc.shared else c * 64 * SU))
+        types.SimpleNamespace(
+            layout=StripeLayout(n_ionodes=n_io, base=0 if sc.shared else c * 64 * SU),
+            file_id=3 if sc.shared else 3 + c,
+        )
         for c in range(sc.clients)
     ]
+    rounds = [(reqs, sc.is_write) for reqs in sc.rounds]
+    if two_level:
+        rounds += [(reqs, False) for reqs in sc.rounds]
     log = []
 
     telemetry = None
@@ -136,18 +148,18 @@ def _run(sc, mode, probes=(), fault=None, cadence=None):
     if fault is not None:
         fault(env, ionodes, log)
 
-    barrier = [Event(env) for _ in sc.rounds]
-    arrivals = [0] * len(sc.rounds)
+    barrier = [Event(env) for _ in rounds]
+    arrivals = [0] * len(rounds)
 
     def client(c):
-        for r, reqs in enumerate(sc.rounds):
+        for r, (reqs, is_write) in enumerate(rounds):
             if r == 0 or sc.barrier_each_round:
                 arrivals[r] += 1
                 if arrivals[r] == sc.clients:
                     barrier[r].succeed()
                 yield barrier[r]
             offset, nbytes = reqs[c]
-            yield fs._fanout(c, files[c], offset, nbytes, sc.is_write)
+            yield fs._fanout(c, files[c], offset, nbytes, is_write)
             # Late probe: this resume sorts after every completion at now.
             look(("done", c, r))
 
@@ -160,8 +172,14 @@ def _run(sc, mode, probes=(), fault=None, cadence=None):
         for ion in ionodes
     ]
     series = telemetry.series.rows.tolist() if telemetry is not None else None
+    scache = None
+    if two_level:
+        scache = [
+            (stats.hits, stats.misses, stats.evictions)
+            for stats in (fs.server_cache(i).stats for i in range(n_io))
+        ]
     return types.SimpleNamespace(log=log, counters=counters, now=env.now,
-                                 series=series, scheduled=env._seq)
+                                 series=series, scheduled=env._seq, scache=scache)
 
 
 def _completions(res):
@@ -174,22 +192,39 @@ def _instants(res):
 
 # -- tests ---------------------------------------------------------------------
 class TestFoldedFanout:
-    @given(scenarios())
+    @given(scenarios(), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_matches_per_chunk_and_scalar(self, sc):
-        ref = _run(sc, "reference")
-        probes = _instants(ref)
-        ref = _run(sc, "reference", probes)
-        folded = _run(sc, "folded", probes)
-        scalar = _run(sc, "scalar")
-        # Everything, queue/busy readings at tied instants included.
-        assert folded.log == ref.log
-        assert folded.counters == ref.counters
-        assert folded.now == ref.now
-        assert folded.scheduled <= ref.scheduled
-        # The scalar queue: same completion instants, order and counters.
+    # Client 1's lone chunk and client 0's last one end at the same
+    # instant on two nodes, and node 1's chain started before node 0's
+    # second arrival: the scalar queue must still complete client 0 first.
+    @example(
+        types.SimpleNamespace(
+            clients=3, io_nodes=3, per_hop_s=0.0, shared=True, is_write=False,
+            rounds=[[(0, 3 * SU), (0, SU), (0, 3 * SU)]], barrier_each_round=False,
+        ),
+        False,
+    )
+    def test_matches_per_chunk_and_scalar(self, sc, two_level):
+        scalar = _run(sc, "scalar", two_level=two_level)
+        if two_level:
+            # No reference: it bypasses the server caches.
+            folded = _run(sc, "folded", two_level=True)
+            assert sum(hits for hits, _, _ in folded.scache)
+        else:
+            ref = _run(sc, "reference")
+            probes = _instants(ref)
+            ref = _run(sc, "reference", probes)
+            folded = _run(sc, "folded", probes)
+            # Everything, queue/busy readings at tied instants included.
+            assert folded.log == ref.log
+            assert folded.counters == ref.counters
+            assert folded.now == ref.now
+            assert folded.scheduled <= ref.scheduled
+        # The scalar queue: same completion instants, order, counters and
+        # server-cache hits, misses and evictions.
         assert _completions(folded) == _completions(scalar)
         assert folded.counters == scalar.counters
+        assert folded.scache == scalar.scache
 
     @given(scenarios())
     @settings(max_examples=50, deadline=None)

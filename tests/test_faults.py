@@ -9,6 +9,8 @@ survive an SDDF round trip into the same resilience report, and be
 byte-reproducible given the same seed and plan.
 """
 
+import hashlib
+
 import pytest
 
 import repro.pfs as pfs_pkg
@@ -354,6 +356,10 @@ class TestFaultedRunEndToEnd:
             small_experiment("escat", faults=plan).run()
 
 
+#: The PPFS presets of the golden fixtures (passthrough is PFS-like).
+PPFS_PRESETS = ("default", "escat_tuned", "sequential_reader", "adaptive", "two_level")
+
+
 def _small_run(app, fs="pfs", **kw):
     if fs != "pfs":
         kw.update(filesystem="ppfs", policies=PPFSPolicies.from_name(fs))
@@ -393,21 +399,42 @@ class TestFaultPathPins:
         assert result.spans.store.content_hash()[:12] == prefix
 
     def test_server_cache_hits_stamped_at_send_with_retry_installed(self):
-        # Drops that never fire still install retry; the server-cache hit
-        # spans must match the fault-free run's row for row.
+        """Drops that never fire still install retry and put the I/O nodes
+        on the scalar queue, but nothing fails: every retry path must run
+        as the fault-free one does, on escat, render and checkpoint under
+        PFS and every PPFS preset.  The application rows of the trace (op
+        below FAULT) hash equal, and the server-cache hit spans match row
+        for row.
+
+        HTF is left out: the pending drop timer keeps ``Environment.run``
+        alive until it fires, so pargos, which starts when the run before
+        it drains, starts at t=1e6 instead.
+        """
         idle = FaultPlan(drops=(RequestDrops(probability=0.5, start_s=1e6),))
 
-        def hits(**kw):
-            store = _small_run("escat", "two_level", spans=True, **kw).spans.store
-            return sorted(
+        def run(app, fs, **kw):
+            result = _small_run(app, fs, spans=True, **kw)
+            rows = {}
+            for name, trace in result.traces.items():
+                ev = trace.events
+                rows[name] = hashlib.sha256(ev[ev["op"] < int(Op.FAULT)].tobytes()).hexdigest()
+            hits = sorted(
                 (s["node"], s["start"], s["nbytes"])
-                for s in store.iter_spans()
+                for s in result.spans.store.iter_spans()
                 if s["kind"] == "scache.hit"
             )
+            return rows, hits
 
-        free = hits()
-        assert free
-        assert hits(faults=idle) == free
+        for app in ("escat", "render", "checkpoint"):
+            for fs in ("pfs", *PPFS_PRESETS):
+                free_rows, free_hits = run(app, fs)
+                rows, hits = run(app, fs, faults=idle)
+                assert rows == free_rows, (app, fs)
+                assert hits == free_hits, (app, fs)
+                if (app, fs) == ("escat", "two_level"):
+                    # Render's and checkpoint's re-reads stop at the
+                    # client caches; escat's reach the server caches.
+                    assert free_hits
 
 
 class TestFlushRetry:
