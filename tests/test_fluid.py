@@ -12,6 +12,7 @@ golden trace hash byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -132,6 +133,69 @@ class TestMakespanAgreement:
         event_make = _makespan(event)
         assert abs(_makespan(fluid) - event_make) / event_make <= ERROR_BOUND
         assert fluid.app.stats.checkpoints_taken == checkpoints
+
+
+# -- fluid outputs, pinned ---------------------------------------------------
+#: Small-scale fluid runs: per-program trace hashes, a digest of the
+#: per-node counters, and (from a run with telemetry at 1 s cadence and
+#: spans on) the telemetry series, metrics registry and span store.
+#: Fluid shares the I/O nodes' service law with the event path, so any
+#: change to how either prices a chunk moves these.
+FLUID_PINS = {
+    "htf": {
+        "traces": {"pargos": "96057ed99736", "pscf": "e5aa0f4f8528",
+                   "psetup": "e782f386b96a"},
+        "ionodes": "b691f70d28a5",
+        "telemetry": "5cd813859175",
+        "registry": "27b6de64f543",
+        "spans": "b9513678cf4b",
+    },
+    "escat": {
+        "traces": {"escat": "eb97f9da3983"},
+        "ionodes": "517670f27259",
+        "telemetry": "f7de2d2cfd34",
+        "registry": "f4f9ebd560fd",
+        "spans": "3839ce865247",
+    },
+    "checkpoint": {
+        "traces": {"checkpoint": "22c2783ff50f"},
+        "ionodes": "c7cd3f908968",
+        "telemetry": "80663c031448",
+        "registry": "5f6c867636d0",
+        "spans": "e0fb4b5a4a0f",
+    },
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _node_digest(result) -> str:
+    return _digest(repr([
+        (ion.requests_served, ion.bytes_served, ion.busy_time, ion.array._arm.head_pos)
+        for ion in result.machine.ionodes
+    ]))
+
+
+class TestFluidOutputPins:
+    @pytest.mark.parametrize("app", FLUID_APPS)
+    def test_outputs_match_pins(self, app):
+        plain = _run(app, fidelity="fluid")
+        observed = _run(app, fidelity="fluid", telemetry=1.0, spans=True)
+        assert plain.fs.fluid.phases_solved > 0
+        traces = {name: h[:12] for name, h in _hashes(plain).items()}
+        assert {name: h[:12] for name, h in _hashes(observed).items()} == traces
+        assert _node_digest(observed) == _node_digest(plain)
+        telemetry = observed.telemetry
+        got = {
+            "traces": traces,
+            "ionodes": _node_digest(plain),
+            "telemetry": telemetry.series.content_hash()[:12],
+            "registry": _digest(json.dumps(telemetry.registry.as_dict(), sort_keys=True)),
+            "spans": observed.spans.store.content_hash()[:12],
+        }
+        assert got == FLUID_PINS[app], f"fluid {app} outputs moved"
 
 
 # -- the decline half of the contract ------------------------------------------
