@@ -24,11 +24,14 @@ perf:
 	PYTHONPATH=src:. python benchmarks/bench_spans_overhead.py
 
 # Size and hook counts, tracked like timings: src and test line totals,
-# `spans is (not) None` hook sites and os.environ reads under src/repro.
+# `spans is (not) None` hook sites, telemetry hook sites (`telem is (not)
+# None` guards and reads of the I/O-node histogram hook) and os.environ
+# reads under src/repro.
 loc:
 	@echo "src lines:        $$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
 	@echo "test lines:       $$(find tests -name '*.py' -exec cat {} + | wc -l)"
 	@echo "spans hook sites: $$(grep -rE --include='*.py' 'spans is (not )?None' src/repro | wc -l)"
+	@echo "telemetry hook sites: $$(grep -rnE --include='*.py' 'telem is (not )?None|= (self|ion)\._telem$$' src/repro | wc -l)"
 	@echo "os.environ reads: $$(grep -rn --include='*.py' 'os\.environ' src/repro | wc -l)"
 	@grep -rn --include='*.py' 'os\.environ' src/repro | sed 's/^/  /' || true
 

@@ -15,6 +15,7 @@ from ..machine.paragon import Paragon
 from ..pablo.capture import InstrumentedPFS
 from ..pablo.trace import Trace
 from ..sim.core import Environment, Event
+from ..sim.fluid import OP_BARRIER, OP_COMPUTE, OP_FLUSH, OP_READ, OP_SEEK, OP_WRITE
 from ..sim.resources import Barrier
 from ..spans.record import LEAF_BARRIER_WAIT, LEAF_MESH_BCAST
 
@@ -130,6 +131,42 @@ class Application:
             if m.name == name:
                 return m.time
         raise KeyError(f"no phase mark {name!r}")
+
+    def phase(self, key, node: int, mod, probe, ops):
+        """Process generator: run ``node``'s share of a regular phase.
+
+        ``ops`` is a generator function yielding :mod:`repro.sim.fluid`
+        plan ops (compute, barrier, seek, write, read, flush).  With a
+        fluid servicer attached, the phase is offered as one cohort of
+        ``self.group``: ``probe`` is checked first, and only an accepted
+        offer draws ``ops()`` whole.  A declined offer, or no servicer,
+        runs the ops one by one on the event path, advancing ``ops()``
+        lazily so RNG draws interleave with I/O as in a written-out loop.
+        ``mod`` is the compute node that runs the compute ops.
+        """
+        fs = self.fs
+        servicer = getattr(getattr(fs, "fs", fs), "fluid", None)
+        if servicer is not None:
+            done = servicer.enroll(
+                key, len(self.group.nodes), node, fs, probe=probe, build=ops, mod=mod
+            )
+            if done is not None:
+                yield done
+                return
+        for op in ops():
+            kind = op[0]
+            if kind == OP_COMPUTE:
+                yield from mod.compute(op[1])
+            elif kind == OP_READ:
+                yield from fs.read(node, op[1], op[2])
+            elif kind == OP_WRITE:
+                yield from fs.write(node, op[1], op[2])
+            elif kind == OP_SEEK:
+                yield from fs.seek(node, op[1], op[2])
+            elif kind == OP_BARRIER:
+                yield self.group.barrier()
+            elif kind == OP_FLUSH:
+                yield from fs.flush(node, op[1])
 
     def node_processes(self):  # pragma: no cover - abstract
         """Yield (node, generator) pairs; subclasses implement."""

@@ -176,63 +176,25 @@ class Escat(Application):
         node_mod = self.machine.nodes[node]
         if not cfg.restart:
             # The iteration loop is regular (synchronized compute + two
-            # seek/write pairs per cycle): offer it as one fluid phase.
-            servicer = getattr(getattr(fs, "fs", fs), "fluid", None)
-            done = None
-            if servicer is not None:
-
-                def build_plan():
-                    ops = []
-                    for it in range(cfg.iterations):
-                        frac = it / max(1, cfg.iterations - 1)
-                        base = (
-                            cfg.cycle_compute_start_s
-                            + (cfg.cycle_compute_end_s - cfg.cycle_compute_start_s)
-                            * frac
-                        )
-                        jitter = 1.0 + cfg.compute_jitter * float(
-                            self._rng.standard_normal()
-                        )
-                        ops.append(fl.compute(max(0.0, base * jitter)))
-                        ops.append(fl.barrier())
-                        for fd in fds:
-                            offset = node * cfg.region_bytes + it * cfg.record_bytes
-                            ops.append(fl.seek(fd, offset))
-                            ops.append(fl.write(fd, cfg.record_bytes))
-                    return ops
-
-                done = servicer.enroll(
-                    "escat.phase2",
-                    cfg.nodes,
-                    node,
-                    fs,
-                    probe=[
-                        op
-                        for fd in fds
-                        for op in (fl.seek(fd, 0), fl.write(fd, cfg.record_bytes))
-                    ],
-                    build=build_plan,
-                    mod=node_mod,
-                )
-            if done is not None:
-                yield done
-            else:
+            # seek/write pairs per cycle): one phase, fluid when it can be.
+            def cycles():
                 for it in range(cfg.iterations):
                     frac = it / max(1, cfg.iterations - 1)
                     base = (
                         cfg.cycle_compute_start_s
-                        + (cfg.cycle_compute_end_s - cfg.cycle_compute_start_s)
-                        * frac
+                        + (cfg.cycle_compute_end_s - cfg.cycle_compute_start_s) * frac
                     )
-                    jitter = 1.0 + cfg.compute_jitter * float(
-                        self._rng.standard_normal()
-                    )
-                    yield from node_mod.compute(max(0.0, base * jitter))
-                    yield self.group.barrier()  # writes are synchronized (Figure 4)
+                    jitter = 1.0 + cfg.compute_jitter * float(self._rng.standard_normal())
+                    yield fl.compute(max(0.0, base * jitter))
+                    yield fl.barrier()  # writes are synchronized (Figure 4)
                     for fd in fds:
-                        offset = node * cfg.region_bytes + it * cfg.record_bytes
-                        yield from fs.seek(node, fd, offset)
-                        yield from fs.write(node, fd, cfg.record_bytes)
+                        yield fl.seek(fd, node * cfg.region_bytes + it * cfg.record_bytes)
+                        yield fl.write(fd, cfg.record_bytes)
+
+            probe = [
+                op for fd in fds for op in (fl.seek(fd, 0), fl.write(fd, cfg.record_bytes))
+            ]
+            yield from self.phase("escat.phase2", node, node_mod, probe, cycles)
 
         # ---- phase 3: energy-dependent calc + reload ------------------------
         if node0:

@@ -25,6 +25,7 @@ reads, 813 seeks whose cumulative distance is ~3.5 GB.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from ..machine.paragon import Paragon
@@ -240,45 +241,17 @@ class Pargos(Application):
             yield from fs.close(node, cfd)
 
         # The record loop is regular (compute/write/flush per record on a
-        # private file): offer it to the fluid servicer as one phase.
-        servicer = getattr(getattr(fs, "fs", fs), "fluid", None)
-        done = None
-        if servicer is not None:
-
-            def build_plan() -> list:
-                ops = []
-                for _ in range(cfg.records_for(node)):
-                    jitter = 1.0 + cfg.pargos_compute_jitter * float(
-                        self._rng.standard_normal()
-                    )
-                    ops.append(
-                        fl.compute(max(0.0, cfg.pargos_cycle_compute_s * jitter))
-                    )
-                    ops.append(fl.write(fd, cfg.integral_record_bytes))
-                    ops.append(fl.flush(fd))
-                ops.append(fl.flush(fd))  # final forflush before lsize
-                return ops
-
-            done = servicer.enroll(
-                "pargos",
-                cfg.nodes,
-                node,
-                fs,
-                probe=[fl.write(fd, cfg.integral_record_bytes), fl.flush(fd)],
-                build=build_plan,
-                mod=mod,
-            )
-        if done is not None:
-            yield done
-        else:
+        # private file): one phase, fluid when it can be.
+        def records():
             for _ in range(cfg.records_for(node)):
-                jitter = 1.0 + cfg.pargos_compute_jitter * float(
-                    self._rng.standard_normal()
-                )
-                yield from mod.compute(max(0.0, cfg.pargos_cycle_compute_s * jitter))
-                yield from fs.write(node, fd, cfg.integral_record_bytes)
-                yield from fs.flush(node, fd)
-            yield from fs.flush(node, fd)  # final forflush before lsize
+                jitter = 1.0 + cfg.pargos_compute_jitter * float(self._rng.standard_normal())
+                yield fl.compute(max(0.0, cfg.pargos_cycle_compute_s * jitter))
+                yield fl.write(fd, cfg.integral_record_bytes)
+                yield fl.flush(fd)
+            yield fl.flush(fd)  # final forflush before lsize
+
+        probe = [fl.write(fd, cfg.integral_record_bytes), fl.flush(fd)]
+        yield from self.phase("pargos", node, mod, probe, records)
         yield from fs.lsize(node, fd)
         yield from fs.close(node, fd)
         if node0:
@@ -359,51 +332,23 @@ class Pscf(Application):
             yield from self._aux_slice(aux_state, 0, slices)
         fd = yield from fs.open(node, _integral_path(node))
         records = cfg.records_for(node)
-        # Each SCF pass is a regular read sweep — one fluid cohort per
-        # pass.  Node 0's aux-file slices stay discrete between passes;
-        # they queue behind the solved pass via the absorbed I/O-node
-        # horizon.
-        servicer = getattr(getattr(fs, "fs", fs), "fluid", None)
+        # Each SCF pass is a regular read sweep — one phase per pass.
+        # Node 0's aux-file slices stay discrete between passes; after a
+        # fluid pass they queue behind its held I/O-node horizon.
+        def sweep(scf_pass):
+            if scf_pass > 0:
+                yield fl.seek(fd, 0)  # rewind: ~5.4 MB distance
+            for _ in range(records):
+                yield fl.read(fd, cfg.integral_record_bytes)
+                jitter = 1.0 + 0.03 * float(self._rng.standard_normal())
+                yield fl.compute(max(0.0, cfg.scf_compute_per_record_s * jitter))
+            yield fl.compute(cfg.scf_pass_compute_s)
+
+        probe = [fl.seek(fd, 0), fl.read(fd, cfg.integral_record_bytes)]
         for scf_pass in range(cfg.scf_passes):
-            done = None
-            if servicer is not None:
-
-                def build_plan(scf_pass=scf_pass):
-                    ops = []
-                    if scf_pass > 0:
-                        ops.append(fl.seek(fd, 0))  # rewind: ~5.4 MB distance
-                    for _ in range(records):
-                        ops.append(fl.read(fd, cfg.integral_record_bytes))
-                        jitter = 1.0 + 0.03 * float(self._rng.standard_normal())
-                        ops.append(
-                            fl.compute(
-                                max(0.0, cfg.scf_compute_per_record_s * jitter)
-                            )
-                        )
-                    ops.append(fl.compute(cfg.scf_pass_compute_s))
-                    return ops
-
-                done = servicer.enroll(
-                    ("pscf", scf_pass),
-                    cfg.nodes,
-                    node,
-                    fs,
-                    probe=[fl.seek(fd, 0), fl.read(fd, cfg.integral_record_bytes)],
-                    build=build_plan,
-                    mod=mod,
-                )
-            if done is not None:
-                yield done
-            else:
-                if scf_pass > 0:
-                    yield from fs.seek(node, fd, 0)  # rewind: ~5.4 MB distance
-                for _ in range(records):
-                    yield from fs.read(node, fd, cfg.integral_record_bytes)
-                    jitter = 1.0 + 0.03 * float(self._rng.standard_normal())
-                    yield from mod.compute(
-                        max(0.0, cfg.scf_compute_per_record_s * jitter)
-                    )
-                yield from mod.compute(cfg.scf_pass_compute_s)
+            yield from self.phase(
+                ("pscf", scf_pass), node, mod, probe, partial(sweep, scf_pass)
+            )
             if node0:
                 yield from self._aux_slice(aux_state, scf_pass + 1, slices)
         yield from fs.close(node, fd)

@@ -230,10 +230,10 @@ class IONode:
         """Queue a control operation (fixed service, no disk motion); the
         returned event fires on completion.
 
-        Allocation-lean sibling of :meth:`visit` for hot paths that chain
-        callbacks instead of wrapping a generator in a Process — the PPFS
-        server-cache hit path issues through here.  ``join`` works as in
-        :meth:`submit`.
+        Allocation-lean sibling of :meth:`visit` for callers that chain
+        callbacks or yield the event instead of wrapping a generator in a
+        Process — the PPFS server-cache hit path and ``PFS.flush`` issue
+        through here.  ``join`` works as in :meth:`submit`.
         """
         if self._eager:
             return self._eager_submit(0, 0, False, service_s, True, span_parent, join)
@@ -311,24 +311,10 @@ class IONode:
             # Head position before service is what the span recorder's
             # closed-form seek decomposition needs (service_time moves it).
             head = self.array._arm.head_pos if spans is not None else -1.0
-            service = (
-                self.params.request_overhead_s
-                + extra_s
-                + self.array.service_time(offset, nbytes, is_write)
-            )
-            self.requests_served += 1
-            self.bytes_served += nbytes
-            observe = self._telem
-            if observe is not None:
-                observe(nbytes)
-        self.busy_time += service
+            service = self.price(offset, nbytes, is_write, extra_s)
         open_ = self._eager_open
         now = env.now
-        # The chain is busy iff its last completion, at (_free_at, seq), is
-        # still ahead; at _free_at == now both branches give the same end.
-        free = self._free_at
-        end = (free if free > now else now) + service
-        self._free_at = end
+        end = self.reserve(now, service)
         # Completions strictly before now are certainly past: bound the
         # FIFO without needing the kernel's current seq.
         while open_ and open_[0][0] < now:
@@ -440,22 +426,67 @@ class IONode:
             ))
         return done
 
-    def sync_free_at(self, end: float) -> None:
-        """Absorb an externally priced busy horizon (fluid-mode phases).
+    # -- the service law --------------------------------------------------------
+    def price(self, offset: int, nbytes: int, is_write: bool, extra_s: float) -> float:
+        """Charge one data request and return its service time.
 
-        The fluid servicer prices a whole phase's requests against this
-        node's FIFO without arming per-request events; afterwards it
-        publishes the final busy-until time here so later *discrete*
-        submits queue behind the fluid tail exactly as they would behind
-        real armed work.  A placeholder completion keeps the eager chain
-        non-empty until ``end`` (an empty chain would restart pricing
-        from ``env.now``).
+        The only place a data request is charged, for the eager chain,
+        the scalar queue and fluid phases alike: per-request overhead
+        plus ``extra_s`` plus the array's positioning-aware service time
+        (which moves the head), the served-request and byte counters,
+        and the telemetry request-size histogram.  :meth:`submit_batch`
+        is its vectorized twin.
         """
-        env = self.env
-        if end <= env.now:
-            return  # horizon already past: discrete pricing is correct as-is
+        service = (
+            self.params.request_overhead_s
+            + extra_s
+            + self.array.service_time(offset, nbytes, is_write)
+        )
+        self.requests_served += 1
+        self.bytes_served += nbytes
+        observe = self._telem
+        if observe is not None:
+            observe(nbytes)
+        return service
+
+    def reserve(self, arrival: float, service: float) -> float:
+        """Queue ``service`` seconds FIFO behind the node's busy horizon
+        for a request arriving at ``arrival``; returns its end time.
+
+        The only FIFO step: the eager chain reserves at submit (arrival =
+        now), fluid phases reserve every chunk and flush visit at its
+        solved arrival.  At ``horizon == arrival`` both branches give
+        the same end.
+        """
+        self.busy_time += service
+        free = self._free_at
+        end = (free if free > arrival else arrival) + service
         self._free_at = end
-        self._arm_done(end, 0.0)
+        return end
+
+    @property
+    def horizon(self) -> float:
+        """Absolute end time of the last reserved service."""
+        return self._free_at
+
+    @property
+    def eager(self) -> bool:
+        """True while the node prices each request at submit: a FIFO
+        node with no fault state ever applied."""
+        return self._eager and not self._faulty
+
+    def hold_horizon(self, since: float) -> None:
+        """Keep the eager chain busy up to a horizon that :meth:`reserve`
+        calls made outside the kernel (fluid phases) moved past ``since``.
+
+        Later discrete submits already queue behind the moved horizon; a
+        placeholder completion at it also keeps the chain non-empty, so
+        the node reads busy (to telemetry samples and a fault-time
+        switch to the scalar queue) as it would behind real armed work.
+        """
+        end = self._free_at
+        if end > since and end > self.env.now:
+            self._arm_done(end, 0.0)
 
     def _arm_done(self, end: float, service: float) -> Event:
         """Append an entry with its own done event, armed at ``end``."""
@@ -680,16 +711,7 @@ class IONode:
             service = req.extra_s
         else:
             head = self.array._arm.head_pos if spans is not None else -1.0
-            service = (
-                self.params.request_overhead_s
-                + req.extra_s
-                + self.array.service_time(req.offset, req.nbytes, req.is_write)
-            )
-            self.requests_served += 1
-            self.bytes_served += req.nbytes
-            observe = self._telem
-            if observe is not None:
-                observe(req.nbytes)
+            service = self.price(req.offset, req.nbytes, req.is_write, req.extra_s)
         self.busy_time += service
         if spans is not None:
             spans.ion_raw[req.span_row] = (

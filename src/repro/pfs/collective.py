@@ -134,9 +134,7 @@ def collective_read(
             # One continuous pass over the I/O node's resident portion.
             ion = machine.ionodes[index]
             base = layout.disk_address(0)
-            yield env.process(
-                ion.serve(base, nbytes, False, fs._chunk_extra(nbytes, False))
-            )
+            yield ion.submit(base, nbytes, False, fs._chunk_extra(nbytes, False))
 
         def client(rank):
             # Clients receive their share in parallel (mesh + copy).

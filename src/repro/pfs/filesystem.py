@@ -872,7 +872,7 @@ class PFS:
             yield from self._flush_write_buffer(node, entry)
         if node in f.dirty_nodes:
             ion = self.machine.ionodes[f.layout.first_ionode]
-            yield self.env.process(ion.visit(self.costs.flush_service_s))
+            yield ion.submit_control(self.costs.flush_service_s)
             f.dirty_nodes.discard(node)
 
     # ------------------------------------------------------------ async reads

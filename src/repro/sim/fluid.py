@@ -14,7 +14,10 @@ one event at a time.
 a phase to the servicer as a cohort of per-node **plans** — flat op
 chains built with the module-level constructors (:func:`compute`,
 :func:`barrier`, :func:`seek`, :func:`write`, :func:`read`,
-:func:`flush`, :func:`mark`).  Once every party has enrolled, the
+:func:`flush`, :func:`mark`).  Each phase is written once, as one
+generator of those ops: :meth:`repro.apps.base.Application.phase`
+enrolls it here, or runs it op by op on the event path when the offer
+declines.  Once every party has enrolled, the
 servicer waits for the kernel's phase boundary
 (:meth:`Environment.at_boundary` — the instant when all same-time work
 is drained) and then solves the whole phase in one pass:
@@ -23,14 +26,16 @@ is drained) and then solves the whole phase in one pass:
   so cross-node interactions (shared-file write tokens, barrier
   releases, I/O-node FIFO queueing) resolve exactly as the event kernel
   would resolve them at op granularity;
-* each chunk is priced through the *real* component laws —
+* each chunk takes the *real* component laws —
   :meth:`StripeLayout.decompose`, the memoized
-  :meth:`Mesh.message_time`, and :meth:`Raid3Array.service_time` (whose
-  head-state mutation doubles as state absorption);
+  :meth:`Mesh.message_time`, and the I/O node's own service law:
+  :meth:`IONode.price` charges it (head motion, node counters,
+  telemetry) and :meth:`IONode.reserve` queues it FIFO at its arrival,
+  exactly as the eager chain does at submit;
 * the pass emits the same per-op trace rows and bumps the same
-  filesystem / I/O-node / telemetry counters the discrete path would,
-  then arms **one** :meth:`Environment.schedule_at` completion per plan
-  instead of thousands of per-request events.
+  filesystem telemetry counters the discrete path would, then arms
+  **one** :meth:`Environment.schedule_at` completion per plan instead
+  of thousands of per-request events.
 
 Fluid mode is approximate by contract (see ``docs/PERFORMANCE.md``):
 chunks of one op are enqueued at the I/O node as a unit, so sub-
@@ -52,11 +57,11 @@ closed form cannot reproduce **declines** instead of approximating:
   block-buffered small reads (all carry cross-request state the
   per-op laws above do not model).
 
-A declined offer returns ``None`` and the application falls back to
-its ordinary discrete loop, byte-identical to an ``--fidelity event``
-run.  Because eligibility is checked against a cheap *probe* (op
-shapes only) before the plan builder runs, a declined offer consumes
-no RNG draws and perturbs nothing.
+A declined offer returns ``None`` and the application runs the same
+ops on the event path, byte-identical to an ``--fidelity event`` run.
+Because eligibility is checked against a cheap *probe* (op shapes
+only) before the plan builder runs, a declined offer consumes no RNG
+draws and perturbs nothing.
 """
 
 from __future__ import annotations
@@ -164,8 +169,8 @@ class FluidServicer:
 
     Created by :meth:`Experiment.run` under ``--fidelity fluid`` (and
     only when no fault injector is active) and published as
-    ``fs.fluid``; applications discover it via the raw filesystem and
-    offer their regular phases with :meth:`enroll`.
+    ``fs.fluid``; applications offer their regular phases with
+    :meth:`enroll`, most through :meth:`Application.phase`.
     """
 
     def __init__(self, fs: "PFS") -> None:
@@ -184,7 +189,7 @@ class FluidServicer:
     def _machine_ok(self) -> bool:
         """Whole-machine preconditions for closed-form service."""
         for ion in self.machine.ionodes:
-            if not ion._eager or ion._faulty:
+            if not ion.eager:
                 return False
         writeback = getattr(self.fs, "writeback", None)
         if writeback is not None and not writeback.idle:
@@ -249,7 +254,8 @@ class FluidServicer:
         distinct ``(fd, kind, nbytes)`` shape the plan will use) checked
         against the eligibility rules *before* ``build`` is called, so a
         decline consumes no RNG draws.  ``build`` returns the full raw op
-        chain; ``ifs`` is the instrumented view rows are emitted through;
+        chain (any iterable, a generator included); ``ifs`` is the
+        instrumented view rows are emitted through;
         ``mod`` (optional) is the compute node whose ``compute_time``
         absorbs :func:`compute` ops.
 
@@ -322,21 +328,19 @@ class FluidServicer:
         mesh_time = machine.mesh.message_time
         ionodes = machine.ionodes
         io_pos = fs._io_mesh_pos
+        chunk_extra = fs._chunk_extra
         c = fs.costs
         op_overhead = c.client_op_overhead_s
         byte_cost = c.client_byte_cost_s
         seek_hold = c.shared_seek_hold_s
         write_hold = c.shared_write_hold_s
         flush_service = c.flush_service_s
-        read_extra = c.read_chunk_extra_s
-        write_extra = c.write_chunk_extra_per_byte_s
         wbuf_max = c.write_buffer_bytes
         op_read, op_write, op_seek, op_flush = Op.READ, Op.WRITE, Op.SEEK, Op.FLUSH
         telem = fs.telemetry
         now = env.now
 
-        free = [ion._free_at for ion in ionodes]
-        base_free = list(free)
+        base = [ion.horizon for ion in ionodes]
         token_free: dict[Any, float] = {}
         barriers: dict[int, list] = {}
         n_ops = 0
@@ -383,72 +387,32 @@ class FluidServicer:
                     mod = plan.mod
                     if mod is not None:
                         mod.compute_time += dt
-                elif kind == OP_WRITE:
-                    f = op[1]
-                    entry = op[2]
-                    nbytes = op[3]
-                    t0 = t
-                    if telem is not None:
-                        telem.writes += 1
-                        telem.write_bytes += nbytes
-                    t += op_overhead
-                    entry.rbuf_start = entry.rbuf_end = -1
-                    offset = f.tell(entry)
-                    shared = f.shared
-                    if not shared and 0 < wbuf_max >= nbytes:
-                        raise RuntimeError(
-                            f"fluid cohort {cohort.key!r}: accepted write of "
-                            f"{nbytes} B on a private file would take the "
-                            f"buffered path — the enrolling phase mis-hinted"
-                        )
-                    locked = f.sem.atomic and shared
-                    if locked:
-                        grant = token_free.get(f, 0.0)
-                        if grant < t:
-                            grant = t
-                        t = grant + write_hold
-                    op_end = t
-                    for chunk in f.layout.decompose(offset, nbytes):
-                        ci = chunk.ionode
-                        ion = ionodes[ci]
-                        cn = chunk.nbytes
-                        arrival = t + mesh_time(node, io_pos[ci], cn)
-                        service = (
-                            ion.params.request_overhead_s
-                            + cn * write_extra
-                            + ion.array.service_time(chunk.disk_offset, cn, True)
-                        )
-                        fi = free[ci]
-                        start = arrival if arrival > fi else fi
-                        end = start + service
-                        free[ci] = end
-                        ion.requests_served += 1
-                        ion.bytes_served += cn
-                        ion.busy_time += service
-                        observe = ion._telem
-                        if observe is not None:
-                            observe(cn)
-                        if end > op_end:
-                            op_end = end
-                    t = op_end + nbytes * byte_cost
-                    if locked:
-                        token_free[f] = t
-                    f.note_write(node, offset, nbytes)
-                    f.advance(entry, nbytes)
-                    entry.last_op_offset = offset
-                    dur = t - t0
-                    trace_add(t0, node, op_write, f.file_id, offset, nbytes, dur)
-                    for obs in observers:
-                        obs.observe(t0, node, op_write, f.file_id, offset,
-                                    nbytes, dur)
-                elif kind == OP_READ:
+                elif kind == OP_WRITE or kind == OP_READ:
+                    is_write = kind == OP_WRITE
                     f = op[1]
                     entry = op[2]
                     nbytes = op[3]
                     t0 = t
                     t += op_overhead
                     offset = f.tell(entry)
-                    count = f.readable_bytes(offset, nbytes)
+                    if is_write:
+                        entry.rbuf_start = entry.rbuf_end = -1
+                        count = nbytes
+                        shared = f.shared
+                        if not shared and 0 < wbuf_max >= nbytes:
+                            raise RuntimeError(
+                                f"fluid cohort {cohort.key!r}: accepted write of "
+                                f"{nbytes} B on a private file would take the "
+                                f"buffered path — the enrolling phase mis-hinted"
+                            )
+                        locked = f.sem.atomic and shared
+                        if locked:
+                            grant = token_free.get(f, 0.0)
+                            if grant < t:
+                                grant = t
+                            t = grant + write_hold
+                    else:
+                        count = f.readable_bytes(offset, nbytes)
                     if count:
                         op_end = t
                         for chunk in f.layout.decompose(offset, count):
@@ -456,34 +420,33 @@ class FluidServicer:
                             ion = ionodes[ci]
                             cn = chunk.nbytes
                             arrival = t + mesh_time(node, io_pos[ci], cn)
-                            service = (
-                                ion.params.request_overhead_s
-                                + read_extra
-                                + ion.array.service_time(chunk.disk_offset, cn,
-                                                         False)
+                            service = ion.price(
+                                chunk.disk_offset, cn, is_write, chunk_extra(cn, is_write)
                             )
-                            fi = free[ci]
-                            start = arrival if arrival > fi else fi
-                            end = start + service
-                            free[ci] = end
-                            ion.requests_served += 1
-                            ion.bytes_served += cn
-                            ion.busy_time += service
-                            observe = ion._telem
-                            if observe is not None:
-                                observe(cn)
+                            end = ion.reserve(arrival, service)
                             if end > op_end:
                                 op_end = end
                         t = op_end + count * byte_cost
+                    if is_write:
+                        if locked:
+                            token_free[f] = t
+                        f.note_write(node, offset, nbytes)
+                        code = op_write
+                    else:
+                        code = op_read
                     f.advance(entry, count)
                     entry.last_op_offset = offset
                     if telem is not None:
-                        telem.reads += 1
-                        telem.read_bytes += count
+                        if is_write:
+                            telem.writes += 1
+                            telem.write_bytes += count
+                        else:
+                            telem.reads += 1
+                            telem.read_bytes += count
                     dur = t - t0
-                    trace_add(t0, node, op_read, f.file_id, offset, count, dur)
+                    trace_add(t0, node, code, f.file_id, offset, count, dur)
                     for obs in observers:
-                        obs.observe(t0, node, op_read, f.file_id, offset,
+                        obs.observe(t0, node, code, f.file_id, offset,
                                     count, dur)
                 elif kind == OP_SEEK:
                     f = op[1]
@@ -515,13 +478,7 @@ class FluidServicer:
                     t0 = t
                     t += op_overhead
                     if node in f.dirty_nodes:
-                        ci = f.layout.first_ionode
-                        fi = free[ci]
-                        start = t if t > fi else fi
-                        end = start + flush_service
-                        free[ci] = end
-                        ionodes[ci].busy_time += flush_service
-                        t = end
+                        t = ionodes[f.layout.first_ionode].reserve(t, flush_service)
                         f.dirty_nodes.discard(node)
                     dur = t - t0
                     trace_add(t0, node, op_flush, f.file_id, 0, 0, dur)
@@ -542,11 +499,10 @@ class FluidServicer:
                 f"plans never finished — divergent barrier structure"
             )
 
-        # Absorb the busy horizon so later *discrete* submits queue
-        # behind the fluid tail exactly as they would behind real work.
-        for ci, end in enumerate(free):
-            if end > base_free[ci]:
-                ionodes[ci].sync_free_at(end)
+        # Hold the busy horizon so later *discrete* submits queue behind
+        # the fluid tail exactly as they would behind real work.
+        for ion, since in zip(ionodes, base):
+            ion.hold_horizon(since)
 
         first = min(p.start for p in plans)
         last = now

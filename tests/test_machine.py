@@ -153,6 +153,38 @@ class TestIONode:
         drive(machine, ion.serve(0, 1000, True))
         assert ion.bytes_served == 1000
 
+    def test_price_matches_a_served_request(self, machine):
+        """price() is the charge submit applies: same service, counters
+        and head motion as a request served through the queue."""
+        ion = machine.ionodes[0]
+        (served,) = drive(machine, ion.serve(4096, 8192, True, 0.25))
+        other = make_machine().ionodes[0]
+        assert other.price(4096, 8192, True, 0.25) == served
+        assert (other.requests_served, other.bytes_served) == (1, 8192)
+        assert other.array._arm.head_pos == ion.array._arm.head_pos
+        assert other.busy_time == 0.0  # charging is not queueing
+
+    def test_reserve_is_fifo_behind_the_horizon(self, machine):
+        ion = machine.ionodes[0]
+        assert ion.reserve(1.0, 0.5) == 1.5  # idle: starts on arrival
+        assert ion.reserve(1.2, 0.5) == 2.0  # busy: queues behind 1.5
+        assert ion.reserve(3.0, 0.25) == 3.25
+        assert ion.horizon == 3.25
+        assert ion.busy_time == 1.25
+
+    def test_hold_horizon_queues_later_submits(self, machine):
+        """A horizon moved outside the kernel holds discrete work back."""
+        ion = machine.ionodes[0]
+        ion.hold_horizon(ion.horizon)  # unmoved: nothing armed
+        assert not ion.busy
+        since = ion.horizon
+        ion.reserve(0.0, 2.0)
+        ion.hold_horizon(since)
+        assert ion.busy
+        drive(machine, ion.visit(0.5))
+        assert machine.now == pytest.approx(2.5)
+        assert not ion.busy
+
 
 class TestMesh:
     def test_coords_row_major(self):

@@ -495,6 +495,14 @@ class TestCampaignTelemetryAxis:
         assert "telem2.5" in spec.label()
         assert RunSpec.from_dict(spec.to_dict()).run_hash == spec.run_hash
 
+    def test_true_means_the_default_cadence(self):
+        spec = RunSpec("escat", scale="small", telemetry=True)
+        assert spec.telemetry == DEFAULT_CADENCE_S
+        assert f"telem{DEFAULT_CADENCE_S:g}" in spec.label()
+        assert spec.run_hash == RunSpec("escat", scale="small", telemetry=DEFAULT_CADENCE_S).run_hash
+        built = spec.build_experiment().run().telemetry
+        assert built.cadence_s == DEFAULT_CADENCE_S
+
     def test_negative_cadence_rejected(self):
         with pytest.raises(ValueError):
             RunSpec("escat", telemetry=-1.0)
