@@ -11,6 +11,7 @@ from repro.archive import (
     TapeParams,
     WatermarkPolicy,
 )
+from repro.pablo import Op
 from repro.pfs import FileNotFound, PFS, PFSError
 from tests.conftest import drive, make_machine
 
@@ -241,8 +242,13 @@ class TestEscatCheckpointAcrossHierarchy:
 
         drive(machine, archive())
         t0 = machine.env.now
-        app.run()
+        trace = app.run()
         elapsed = machine.env.now - t0
         assert hsm.stats.stage_ins == 2
         # The run paid at least the two tape recalls.
         assert elapsed >= 2 * tape.params.mount_s / tape.params.drives
+        # The recall is part of the traced open: the OPEN rows that
+        # staged a file in span the tape mount.
+        opens = trace.events[trace.events["op"] == int(Op.OPEN)]
+        assert opens["duration"].max() >= tape.params.mount_s
+        assert trace.content_hash()[:12] == "3b836f829427"
