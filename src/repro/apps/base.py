@@ -145,10 +145,10 @@ class Application:
         ``mod`` is the compute node that runs the compute ops.
         """
         fs = self.fs
-        servicer = getattr(getattr(fs, "fs", fs), "fluid", None)
+        servicer = fs.fluid
         if servicer is not None:
             done = servicer.enroll(
-                key, len(self.group.nodes), node, fs, probe=probe, build=ops, mod=mod
+                key, len(self.group.nodes), node, probe=probe, build=ops, mod=mod
             )
             if done is not None:
                 yield done

@@ -266,7 +266,7 @@ class Checkpoint(Application):
         # burst buffer is attached.
         servicer = None
         if not cfg.restart:
-            servicer = getattr(getattr(fs, "fs", fs), "fluid", None)
+            servicer = fs.fluid
         done = None
         if servicer is not None:
 
@@ -301,7 +301,6 @@ class Checkpoint(Application):
                 "checkpoint",
                 cfg.nodes,
                 node,
-                fs,
                 probe=[
                     op
                     for fd in fds

@@ -113,7 +113,7 @@ def replay_node(
         elif op is Op.READ or op is Op.WRITE or op is Op.AREAD:
             fd = yield from fd_for(file_id)
             if fs.tell(node, fd) != offset:
-                yield from fs.fs.seek(node, fd, offset)  # positioning, not traced
+                yield from fs.seek(node, fd, offset, traced=False)  # positioning
             if op is Op.READ:
                 yield from fs.read(node, fd, nbytes)
             elif op is Op.WRITE:
@@ -217,7 +217,7 @@ class TraceReplay(Application):
                 "(pick a larger --scale)"
             )
         # Files pre-exist at full extent so reads see data.
-        prepare_replay_files(self.fs.fs, self.original, self._path_of)
+        prepare_replay_files(self.fs, self.original, self._path_of)
         self.fs.trace.nodes = max(self.fs.trace.nodes, nodes)
         ev = self.original.events
         self._base = float(ev["timestamp"].min()) if len(ev) else 0.0

@@ -6,8 +6,9 @@ and accessing a migrated file transparently *stages it back in* — paying
 the tape mount + stream penalty the file-archive studies in the paper's
 related work (Jensen & Reed; Lawrie, Randall & Barton; Smith) measured.
 
-:class:`HSM` is a facade over a file system: ``open`` intercepts
-migrated files and stages them in before delegating; every other
+:class:`HSM` is a facade over a file system: it binds the file system's
+``recall`` hook, so every open of a migrated file first stages it in
+(inside the traced open), and ``open`` notes each access; every other
 operation passes straight through, so application skeletons run on an
 HSM unchanged.
 """
@@ -116,6 +117,7 @@ class HSM:
         self._staging: dict[str, object] = {}
         self.last_access: dict[str, float] = {}
         self.stats = HSMStats()
+        fs.recall = self._recall
 
     # -- state ------------------------------------------------------------------
     def is_migrated(self, path: str) -> bool:
@@ -189,11 +191,15 @@ class HSM:
             if not self.is_migrated(path):
                 yield from self.migrate(path)
 
-    # -- file-system facade ---------------------------------------------------------
-    def open(self, node: int, path: str, *args, **kwargs):
-        """Open with transparent stage-in of migrated files."""
+    def _recall(self, path: str):
+        """The file system's open-time recall: stage ``path`` in if it
+        lives on tape."""
         if path in self._migrated:
             yield from self.stage_in(path)
+
+    # -- file-system facade ---------------------------------------------------------
+    def open(self, node: int, path: str, *args, **kwargs):
+        """Open (migrated files stage in transparently) and note the access."""
         fd = yield from self.fs.open(node, path, *args, **kwargs)
         self.last_access[path] = self.env.now
         return fd

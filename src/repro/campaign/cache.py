@@ -30,8 +30,9 @@ __all__ = ["MODEL_VERSION", "ResultCache"]
 #: Version of the simulation model behind every cached result.  Bump it
 #: whenever a change alters simulated results: the golden fixtures
 #: (``tests/data/golden_trace_hashes.json``) are regenerated, or the span
-#: records whose ``summary()`` cached metrics hold change.
-MODEL_VERSION = 2
+#: records or telemetry counters whose summaries cached metrics hold
+#: change.
+MODEL_VERSION = 3
 
 _METRICS = "metrics.json"
 _SPEC = "spec.json"

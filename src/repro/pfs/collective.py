@@ -25,9 +25,12 @@ identical machines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..machine.paragon import Paragon
 from .filesystem import PFS
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..machine.paragon import Paragon
 
 __all__ = ["CollectiveResult", "STRATEGIES", "collective_read"]
 

@@ -20,14 +20,20 @@ The model charges three kinds of cost:
 Mode semantics (:mod:`repro.pfs.modes`) are enforced: shared pointers,
 M_SYNC node-order turns, M_RECORD fixed records with node-interleaved
 default placement, M_GLOBAL collective reads, M_ASYNC's missing atomicity.
+
+Every application-level op is also its own Pablo capture point (§3.1):
+it stamps its entry time, yields the capture perturbation before its own
+work, and hands one ``(t0, node, op, file_id, offset, nbytes, duration)``
+row to the file system's sink at its single exit
+(:mod:`repro.pablo.capture` installs the sink; uncaptured, rows drop).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from ..machine.paragon import Paragon
+from ..pablo.events import Op
 from ..sim.core import Environment, Event, Timeout
 from ..sim.resources import Resource
 from ..spans.record import (
@@ -52,6 +58,9 @@ from .file import PFSFile
 from .modes import AccessMode
 from .striping import StripeLayout
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..machine.paragon import Paragon
+
 __all__ = ["PFS", "AreadHandle", "SEEK_SET", "SEEK_CUR", "SEEK_END"]
 
 SEEK_SET = 0
@@ -62,6 +71,16 @@ SEEK_END = 2
 #: allocator; bases only influence seek distances, so overlap-free
 #: spacing is all that matters.
 _FILE_REGION_BYTES = 128 * MB
+
+
+def _drop(t0, node, op, file_id, offset, nbytes, duration) -> None:
+    """The capture sink of an uncaptured file system: the row goes nowhere."""
+
+
+def _no_perturb() -> tuple:
+    """Zero-overhead capture delay: ``yield from`` an empty tuple costs one
+    call and no generator allocation."""
+    return ()
 
 
 class AreadHandle:
@@ -122,6 +141,14 @@ class PFS:
     #: fill)`` that :meth:`_send` consults; None = every chunk serves
     #: from disk (the PPFS server cache binds one).
     _route = None
+    #: Write-behind manager whose queued writes :meth:`close` drains
+    #: first; None = writes reach the data path before they complete.
+    writeback = None
+    #: Tape recall ``(path) -> generator`` that :meth:`open` runs first,
+    #: inside the traced open (an HSM binds one); None = all on disk.
+    recall = None
+    #: Per-op capture perturbation (see :meth:`attach_capture`).
+    capture_overhead_s = 0.0
 
     def __init__(
         self,
@@ -145,6 +172,11 @@ class PFS:
         #: Fluid-fidelity servicer (repro.sim.fluid); None = event mode,
         #: and applications then run every phase discretely.
         self.fluid = None
+        #: The Pablo capture sink, the open-path name table and the
+        #: perturbation delay (see :meth:`attach_capture`).
+        self._emit = _drop
+        self._file_names: dict[int, str] = {}
+        self._perturb = _no_perturb
         #: Burst-buffer tier, when the machine has one; None = absent, and
         #: the data path then costs one attribute check per transfer.
         self._bb = getattr(machine, "burstbuffer", None)
@@ -166,6 +198,25 @@ class PFS:
             (i * stride) % mesh_size for i in range(len(machine.ionodes))
         ]
 
+    # ---------------------------------------------------------------- capture
+    def attach_capture(self, emit, file_names: dict, overhead_s: float = 0.0) -> None:
+        """Make ``emit`` this file system's one Pablo sink.
+
+        Every traced op calls ``emit(t0, node, op, file_id, offset,
+        nbytes, duration)`` once, at its exit, in the kernel step it
+        completes in (fluid phases call it from their solve).  Opens also
+        name their file in ``file_names``.  Each op first yields
+        ``overhead_s``, the capture perturbation, before its own work.
+        A later call replaces the sink: one live capture per file system.
+        """
+        self._emit = emit
+        self._file_names = file_names
+        self.capture_overhead_s = overhead_s
+        self._perturb = self._capture_delay if overhead_s else _no_perturb
+
+    def _capture_delay(self):
+        yield self.env.timeout(self.capture_overhead_s)
+
     # ------------------------------------------------------------------ utils
     def _copier(self, node: int) -> Resource:
         """Per-node client copy engine (serializes async completions)."""
@@ -174,6 +225,17 @@ class PFS:
             res = Resource(self.env, capacity=1)
             self._copy_engine[node] = res
         return res
+
+    def _wait(self, leaf: int, node: int, event: Event):
+        """Wait for ``event`` (a token grant or a node-order turn),
+        staging the wait as a ``leaf`` span when spans are on."""
+        spans = self.spans
+        if spans is None:
+            yield event
+            return
+        t0 = self.env.now
+        yield event
+        spans.leaf_raw.append((leaf, node, t0, self.env.now, 0.0))
 
     def _entry(self, node: int, fd: int) -> _OpenFile:
         try:
@@ -210,6 +272,14 @@ class PFS:
             f = self._files[path]
             f.size = max(f.size, size)
             return f
+        f = self._new_file(path, file_id, AccessMode.M_UNIX)
+        f.size = size
+        return f
+
+    def _new_file(self, path: str, file_id: Optional[int], mode: AccessMode,
+                  record_size: Optional[int] = None) -> PFSFile:
+        """Register ``path`` with its stripe layout and file region; the
+        next free id unless ``file_id`` is given."""
         if file_id is None:
             file_id = self._next_file_id
             self._next_file_id += 1
@@ -223,9 +293,8 @@ class PFS:
         self._next_base += _FILE_REGION_BYTES
         f = PFSFile(
             self.env, path, file_id, layout,
-            mode=AccessMode.M_UNIX, track_content=self.track_content,
+            mode=mode, record_size=record_size, track_content=self.track_content,
         )
-        f.size = size
         self._files[path] = f
         return f
 
@@ -316,6 +385,10 @@ class PFS:
         (M_SYNC/M_GLOBAL) — the ``setiomode`` partition size; without it
         the opener count at the first ordered operation is used.
         """
+        began = self.env.now
+        yield from self._perturb()
+        if self.recall is not None:
+            yield from self.recall(path)
         existed = path in self._files
         if not existed and not create:
             raise FileNotFound(path)
@@ -330,27 +403,7 @@ class PFS:
         # Register the file synchronously so concurrent creators share one
         # object (only the first arrival pays the create cost).
         if f is None:
-            if file_id is None:
-                file_id = self._next_file_id
-                self._next_file_id += 1
-            else:
-                self._next_file_id = max(self._next_file_id, file_id + 1)
-            layout = StripeLayout(
-                n_ionodes=len(self.machine.ionodes),
-                first_ionode=file_id % len(self.machine.ionodes),
-                base=self._next_base,
-            )
-            self._next_base += _FILE_REGION_BYTES
-            f = PFSFile(
-                self.env,
-                path,
-                file_id,
-                layout,
-                mode=mode,
-                record_size=record_size,
-                track_content=self.track_content,
-            )
-            self._files[path] = f
+            f = self._new_file(path, file_id, mode, record_size)
         elif record_size is not None and f.record_size not in (None, record_size):
             raise ModeError(
                 f"{path!r} opened with record_size={f.record_size}, got {record_size}"
@@ -393,12 +446,19 @@ class PFS:
         telem = self.telemetry
         if telem is not None:
             telem.opens += 1
+        self._file_names.setdefault(f.file_id, path)
+        self._emit(began, node, Op.OPEN, f.file_id, 0, 0, self.env.now - began)
         return fd
 
     def close(self, node: int, fd: int):
-        """Flush buffered writes, drain async reads, release the fd."""
+        """Drain write-behind, flush buffered writes, drain async reads,
+        release the fd."""
         entry = self._entry(node, fd)
         f = entry.file
+        began = self.env.now
+        yield from self._perturb()
+        if self.writeback is not None:
+            yield from self.writeback.drain_file(f)
         if entry.wbuf_len:
             yield from self._flush_write_buffer(node, entry)
         for handle in entry.pending:
@@ -414,6 +474,7 @@ class PFS:
         del self._fd_tables[node][fd]
         f.openers.discard(node)
         f.dirty_nodes.discard(node)
+        self._emit(began, node, Op.CLOSE, f.file_id, 0, 0, self.env.now - began)
 
     # -------------------------------------------------------------- data path
     def _chunk_extra(self, nbytes: int, is_write: bool) -> float:
@@ -542,9 +603,11 @@ class PFS:
         With ``data_out`` (and content tracking enabled) returns
         ``(count, bytes)`` instead.
         """
+        entry = self._entry(node, fd)
+        began = self.env.now
+        yield from self._perturb()
         if nbytes < 0:
             raise PFSError(f"negative read size {nbytes}")
-        entry = self._entry(node, fd)
         f = entry.file
         f.check_record(nbytes)
         c = self.costs
@@ -558,13 +621,7 @@ class PFS:
             if f.sync_parties is None:
                 f.sync_parties = f.declared_parties or max(1, len(f.openers))
             n = f.sync_parties
-            spans = self.spans
-            if spans is not None:
-                env = self.env
-                t0 = env.now
-            yield f.sync_wait(node, n)
-            if spans is not None:
-                spans.leaf_raw.append((LEAF_SYNC_WAIT, node, t0, env.now, 0.0))
+            yield from self._wait(LEAF_SYNC_WAIT, node, f.sync_wait(node, n))
             try:
                 offset = f.tell(entry)
                 count = f.readable_bytes(offset, nbytes)
@@ -573,13 +630,7 @@ class PFS:
             finally:
                 f.sync_done(n)
         elif f.sem.fcfs_order:
-            spans = self.spans
-            if spans is not None:
-                env = self.env
-                t0 = env.now
-            yield f.order_token.acquire()
-            if spans is not None:
-                spans.leaf_raw.append((LEAF_TOKEN_ORDER, node, t0, env.now, 0.0))
+            yield from self._wait(LEAF_TOKEN_ORDER, node, f.order_token.acquire())
             try:
                 yield self.env.timeout(c.order_token_hold_s)
                 if f.sem.fixed_records:
@@ -614,6 +665,7 @@ class PFS:
         if telem is not None:
             telem.reads += 1
             telem.read_bytes += count
+        self._emit(began, node, Op.READ, f.file_id, offset, count, self.env.now - began)
         if data_out:
             return count, f.read_content(offset, count) if f.track_content else b""
         return count
@@ -652,11 +704,13 @@ class PFS:
     # ------------------------------------------------------------------ write
     def write(self, node: int, fd: int, nbytes: int, data: Optional[bytes] = None):
         """Synchronous write at the current pointer; returns bytes written."""
+        entry = self._entry(node, fd)
+        began = self.env.now
+        yield from self._perturb()
         if nbytes < 0:
             raise PFSError(f"negative write size {nbytes}")
         if data is not None and len(data) != nbytes:
             raise PFSError(f"data length {len(data)} != nbytes {nbytes}")
-        entry = self._entry(node, fd)
         f = entry.file
         f.check_record(nbytes)
         c = self.costs
@@ -674,30 +728,15 @@ class PFS:
             if f.sync_parties is None:
                 f.sync_parties = f.declared_parties or max(1, len(f.openers))
             n = f.sync_parties
-            spans = self.spans
-            if spans is not None:
-                env = self.env
-                t0 = env.now
-            yield f.sync_wait(node, n)
-            if spans is not None:
-                spans.leaf_raw.append((LEAF_SYNC_WAIT, node, t0, env.now, 0.0))
+            yield from self._wait(LEAF_SYNC_WAIT, node, f.sync_wait(node, n))
             try:
                 offset = f.tell(entry)
                 yield from self._locked_write(node, f, offset, nbytes, data)
                 f.advance(entry, nbytes)
             finally:
                 f.sync_done(n)
-            entry.last_op_offset = offset
-            return nbytes
-
-        if f.sem.fcfs_order:
-            spans = self.spans
-            if spans is not None:
-                env = self.env
-                t0 = env.now
-            yield f.order_token.acquire()
-            if spans is not None:
-                spans.leaf_raw.append((LEAF_TOKEN_ORDER, node, t0, env.now, 0.0))
+        elif f.sem.fcfs_order:
+            yield from self._wait(LEAF_TOKEN_ORDER, node, f.order_token.acquire())
             try:
                 yield self.env.timeout(c.order_token_hold_s)
                 if f.sem.fixed_records:
@@ -713,49 +752,40 @@ class PFS:
             yield from self._locked_write(node, f, offset, nbytes, data)
             if f.sem.fixed_records:
                 f.set_pointer(entry, offset + nbytes)
-            entry.last_op_offset = offset
-            return nbytes
-
-        offset = f.tell(entry)
-        buffered = (
-            c.write_buffer_bytes > 0
-            and 0 < nbytes <= c.write_buffer_bytes
-            and not f.shared
-        )
-        if buffered:
-            contiguous = entry.wbuf_start + entry.wbuf_len == offset
-            if entry.wbuf_len and not contiguous:
-                yield from self._flush_write_buffer(node, entry)
-            if entry.wbuf_len == 0:
-                entry.wbuf_start = offset
-            entry.wbuf_len += nbytes
-            if f.track_content and data is not None:
-                f.write_content(offset, data)
-            f.note_write(node, offset, nbytes)
-            f.advance(entry, nbytes)
-            if entry.wbuf_len >= c.write_buffer_bytes:
-                yield from self._flush_write_buffer(node, entry)
-            entry.last_op_offset = offset
-            return nbytes
-
-        if entry.wbuf_len:
-            yield from self._flush_write_buffer(node, entry)
-        yield from self._locked_write(node, f, offset, nbytes, data)
-        f.advance(entry, nbytes)
+        else:
+            offset = f.tell(entry)
+            buffered = (
+                c.write_buffer_bytes > 0
+                and 0 < nbytes <= c.write_buffer_bytes
+                and not f.shared
+            )
+            if buffered:
+                contiguous = entry.wbuf_start + entry.wbuf_len == offset
+                if entry.wbuf_len and not contiguous:
+                    yield from self._flush_write_buffer(node, entry)
+                if entry.wbuf_len == 0:
+                    entry.wbuf_start = offset
+                entry.wbuf_len += nbytes
+                if f.track_content and data is not None:
+                    f.write_content(offset, data)
+                f.note_write(node, offset, nbytes)
+                f.advance(entry, nbytes)
+                if entry.wbuf_len >= c.write_buffer_bytes:
+                    yield from self._flush_write_buffer(node, entry)
+            else:
+                if entry.wbuf_len:
+                    yield from self._flush_write_buffer(node, entry)
+                yield from self._locked_write(node, f, offset, nbytes, data)
+                f.advance(entry, nbytes)
         entry.last_op_offset = offset
+        self._emit(began, node, Op.WRITE, f.file_id, offset, nbytes, self.env.now - began)
         return nbytes
 
     def _locked_write(self, node: int, f: PFSFile, offset: int, nbytes: int, data):
         """Write with per-file atomicity locking when the mode requires it."""
         lock_needed = f.sem.atomic and f.shared
         if lock_needed:
-            spans = self.spans
-            if spans is not None:
-                env = self.env
-                t0 = env.now
-            yield f.write_token.acquire()
-            if spans is not None:
-                spans.leaf_raw.append((LEAF_TOKEN_WRITE, node, t0, env.now, 0.0))
+            yield from self._wait(LEAF_TOKEN_WRITE, node, f.write_token.acquire())
         try:
             if lock_needed:
                 yield self.env.timeout(self.costs.shared_write_hold_s)
@@ -768,17 +798,50 @@ class PFS:
         f.note_write(node, offset, nbytes)
 
     # ------------------------------------------------------------------- seek
-    def seek(self, node: int, fd: int, offset: int, whence: int = SEEK_SET):
+    def seek(self, node: int, fd: int, offset: int, whence: int = SEEK_SET,
+             traced: bool = True):
         """Position the file pointer; returns the new offset.
 
         Shared-file seeks serialize on the file token (a metadata round
         trip in PFS — the cost that dominates ESCAT's I/O time); seeks on
-        privately-open files are a cheap client-side operation.
+        privately-open files are a cheap client-side operation.  The row
+        records the seek *distance* as its byte count (how Table 5
+        accounts seek volume).  ``traced=False`` repositions without
+        capture: no perturbation and no row (trace replay restoring an
+        offset).
         """
         entry = self._entry(node, fd)
         f = entry.file
+        before = f.tell(entry)
+        began = self.env.now
+        if traced:
+            yield from self._perturb()
         if not f.sem.seekable:
             raise ModeError(f"{f.mode} files are not seekable")
+        target = self._seek_target(entry, offset, whence)
+        telem = self.telemetry
+        if telem is not None:
+            telem.seeks += 1
+        if entry.wbuf_len:
+            yield from self._flush_write_buffer(node, entry)
+        entry.rbuf_start = entry.rbuf_end = -1
+        yield self.env.timeout(self.costs.client_op_overhead_s)
+        if f.shared:
+            yield from self._wait(LEAF_TOKEN_SEEK, node, f.write_token.acquire())
+            try:
+                yield self.env.timeout(self.costs.shared_seek_hold_s)
+            finally:
+                f.write_token.release()
+        f.set_pointer(entry, target)
+        if traced:
+            self._emit(began, node, Op.SEEK, f.file_id, target, abs(target - before),
+                       self.env.now - began)
+        return target
+
+    @staticmethod
+    def _seek_target(entry: _OpenFile, offset: int, whence: int) -> int:
+        """The offset a seek by ``offset`` from ``whence`` lands on."""
+        f = entry.file
         if whence == SEEK_SET:
             target = offset
         elif whence == SEEK_CUR:
@@ -789,26 +852,6 @@ class PFS:
             raise PFSError(f"bad whence {whence}")
         if target < 0:
             raise PFSError(f"seek to negative offset {target}")
-        telem = self.telemetry
-        if telem is not None:
-            telem.seeks += 1
-        if entry.wbuf_len:
-            yield from self._flush_write_buffer(node, entry)
-        entry.rbuf_start = entry.rbuf_end = -1
-        yield self.env.timeout(self.costs.client_op_overhead_s)
-        if f.shared:
-            spans = self.spans
-            if spans is not None:
-                env = self.env
-                t0 = env.now
-            yield f.write_token.acquire()
-            if spans is not None:
-                spans.leaf_raw.append((LEAF_TOKEN_SEEK, node, t0, env.now, 0.0))
-            try:
-                yield self.env.timeout(self.costs.shared_seek_hold_s)
-            finally:
-                f.write_token.release()
-        f.set_pointer(entry, target)
         return target
 
     def unlink(self, node: int, path: str):
@@ -850,14 +893,17 @@ class PFS:
     # ------------------------------------------------------- metadata queries
     def lsize(self, node: int, fd: int):
         """File-size query (PFS ``lsize``); returns the size."""
-        entry = self._entry(node, fd)
+        f = self._entry(node, fd).file
+        began = self.env.now
+        yield from self._perturb()
         req = self._meta_server.request()
         yield req
         try:
             yield self.env.timeout(self.costs.lsize_service_s)
         finally:
             self._meta_server.release(req)
-        return entry.file.size
+        self._emit(began, node, Op.LSIZE, f.file_id, 0, 0, self.env.now - began)
+        return f.size
 
     def flush(self, node: int, fd: int):
         """Force buffered data out (Fortran ``forflush`` analog).
@@ -867,6 +913,8 @@ class PFS:
         """
         entry = self._entry(node, fd)
         f = entry.file
+        began = self.env.now
+        yield from self._perturb()
         yield self.env.timeout(self.costs.client_op_overhead_s)
         if entry.wbuf_len:
             yield from self._flush_write_buffer(node, entry)
@@ -874,6 +922,7 @@ class PFS:
             ion = self.machine.ionodes[f.layout.first_ionode]
             yield ion.submit_control(self.costs.flush_service_s)
             f.dirty_nodes.discard(node)
+        self._emit(began, node, Op.FLUSH, f.file_id, 0, 0, self.env.now - began)
 
     # ------------------------------------------------------------ async reads
     def aread(self, node: int, fd: int, nbytes: int):
@@ -882,12 +931,17 @@ class PFS:
         The issuing call costs only ``aread_issue_s``; the transfer runs in
         the background, and its client-side copy serializes through the
         node's copy engine (bounding aggregate async throughput exactly as
-        a real client's memory system would).
+        a real client's memory system would).  Its row's duration is the
+        issue cost only; the :meth:`iowait` row carries the blocking time
+        (Table 3 reports them separately).
         """
-        if nbytes < 0:
-            raise PFSError(f"negative read size {nbytes}")
         entry = self._entry(node, fd)
         f = entry.file
+        at = f.tell(entry)  # the row's offset, read before the delay
+        began = self.env.now
+        yield from self._perturb()
+        if nbytes < 0:
+            raise PFSError(f"negative read size {nbytes}")
         if f.sem.shared_pointer or f.sem.fixed_records:
             raise ModeError(f"async reads unsupported in {f.mode}")
         offset = f.tell(entry)
@@ -927,12 +981,17 @@ class PFS:
 
         self.env.process(_background())
         entry.pending.append(handle)
+        self._emit(began, node, Op.AREAD, f.file_id, at, count, self.env.now - began)
         return handle
 
     def iowait(self, node: int, handle: AreadHandle):
         """Block until an async read completes; returns bytes read."""
+        began = self.env.now
+        yield from self._perturb()
         if not handle.complete:
             yield handle.event
         else:
             yield self.env.timeout(0.0)
+        self._emit(began, node, Op.IOWAIT, handle.file_id, handle.offset, 0,
+                   self.env.now - began)
         return handle.nbytes

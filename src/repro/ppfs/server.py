@@ -21,9 +21,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..machine.paragon import Paragon
+from ..pablo.events import Op
 from ..pfs.costs import CostModel
-from ..pfs.filesystem import PFS, SEEK_CUR, SEEK_END, SEEK_SET
 from ..pfs.errors import PFSError
+from ..pfs.filesystem import PFS, SEEK_SET
 from ..sim.core import Timeout
 from ..spans.record import LEAF_CACHE_HIT, LEAF_CACHE_MISS, LEAF_WB_ENQUEUE
 from .adaptive import MarkovPredictor
@@ -61,6 +62,9 @@ class PPFS(PFS):
         self.writeback = WriteBehindManager(self) if pol.write_behind else None
         # Second-level (I/O-node) caches, shared across clients (§8).
         self._server_caches: dict[int, BlockCache] = {}
+        #: Staged prefetches whose fan-out has not completed (sampled by
+        #: telemetry).
+        self.prefetch_inflight = 0
 
     # -- two-level buffering -----------------------------------------------------
     def server_cache(self, ionode: int) -> Optional[BlockCache]:
@@ -175,6 +179,8 @@ class PPFS(PFS):
         c = self.costs
         env = self.env
         spans = self.spans
+        began = env.now
+        yield from self._perturb()
         yield Timeout(env, c.client_op_overhead_s)
         offset = f.tell(entry)
         count = f.readable_bytes(offset, nbytes)
@@ -248,6 +254,11 @@ class PPFS(PFS):
                         self._stage_block(node, f, b, cache)
         f.advance(entry, count)
         entry.last_op_offset = offset
+        telem = self.telemetry
+        if telem is not None:
+            telem.reads += 1
+            telem.read_bytes += count
+        self._emit(began, node, Op.READ, f.file_id, offset, count, env.now - began)
         if data_out:
             return count, f.read_content(offset, count) if f.track_content else b""
         return count
@@ -269,9 +280,7 @@ class PPFS(PFS):
         env = self.env
         file_id = f.file_id
         copy_s = length * self.costs.client_byte_cost_s
-        telem = self.telemetry
-        if telem is not None:
-            telem.prefetch_inflight += 1
+        self.prefetch_inflight += 1
         spans = self.spans
         if spans is not None:
             # Root span: the staged fetch outlives the read op that
@@ -287,8 +296,7 @@ class PPFS(PFS):
                 spans.store.finish(psid, env.now)
 
         def _fetched(_ev):
-            if telem is not None:
-                telem.prefetch_inflight -= 1
+            self.prefetch_inflight -= 1
             if not _ev._ok:
                 if psid >= 0:
                     spans.store.finish(psid, env.now)
@@ -304,16 +312,23 @@ class PPFS(PFS):
         if self.writeback is None or not self._plain(f) or nbytes < 0:
             result = yield from super().write(node, fd, nbytes, data)
             return result
+        env = self.env
+        began = env.now
+        yield from self._perturb()
         if data is not None and len(data) != nbytes:
             raise PFSError(f"data length {len(data)} != nbytes {nbytes}")
         f.check_record(nbytes)
         c = self.costs
+        telem = self.telemetry
+        if telem is not None:
+            telem.writes += 1
+            telem.write_bytes += nbytes
         # Complete at memory speed: overhead + buffer copy.
-        t0 = self.env.now
-        yield Timeout(self.env, c.client_op_overhead_s + nbytes * c.client_byte_cost_s)
+        t0 = env.now
+        yield Timeout(env, c.client_op_overhead_s + nbytes * c.client_byte_cost_s)
         spans = self.spans
         if spans is not None:
-            spans.leaf_raw.append((LEAF_WB_ENQUEUE, node, t0, self.env.now, nbytes))
+            spans.leaf_raw.append((LEAF_WB_ENQUEUE, node, t0, env.now, nbytes))
         offset = f.tell(entry)
         cache = self.cache_for(node)
         if cache is not None and nbytes:
@@ -327,34 +342,30 @@ class PPFS(PFS):
         f.note_write(node, offset, nbytes)
         f.advance(entry, nbytes)
         entry.last_op_offset = offset
+        self._emit(began, node, Op.WRITE, f.file_id, offset, nbytes, env.now - began)
         return nbytes
 
     # -- seek ------------------------------------------------------------------------
-    def seek(self, node: int, fd: int, offset: int, whence: int = SEEK_SET):
+    def seek(self, node: int, fd: int, offset: int, whence: int = SEEK_SET,
+             traced: bool = True):
         entry = self._entry(node, fd)
         f = entry.file
         if self.writeback is None or not self._plain(f):
-            result = yield from super().seek(node, fd, offset, whence)
+            result = yield from super().seek(node, fd, offset, whence, traced)
             return result
+        before = f.tell(entry)
+        env = self.env
+        began = env.now
+        if traced:
+            yield from self._perturb()
         # PPFS seeks are client-local: no shared-file token round trip.
-        if whence == SEEK_SET:
-            target = offset
-        elif whence == SEEK_CUR:
-            target = f.tell(entry) + offset
-        elif whence == SEEK_END:
-            target = f.size + offset
-        else:
-            raise PFSError(f"bad whence {whence}")
-        if target < 0:
-            raise PFSError(f"seek to negative offset {target}")
-        yield self.env.timeout(self.costs.client_op_overhead_s)
+        target = self._seek_target(entry, offset, whence)
+        telem = self.telemetry
+        if telem is not None:
+            telem.seeks += 1
+        yield Timeout(env, self.costs.client_op_overhead_s)
         f.set_pointer(entry, target)
+        if traced:
+            self._emit(began, node, Op.SEEK, f.file_id, target, abs(target - before),
+                       env.now - began)
         return target
-
-    # -- close -----------------------------------------------------------------------
-    def close(self, node: int, fd: int):
-        entry = self._entry(node, fd)
-        f = entry.file
-        if self.writeback is not None:
-            yield from self.writeback.drain_file(f)
-        yield from super().close(node, fd)

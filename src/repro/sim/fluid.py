@@ -32,10 +32,10 @@ is drained) and then solves the whole phase in one pass:
   :meth:`IONode.price` charges it (head motion, node counters,
   telemetry) and :meth:`IONode.reserve` queues it FIFO at its arrival,
   exactly as the eager chain does at submit;
-* the pass emits the same per-op trace rows and bumps the same
-  filesystem telemetry counters the discrete path would, then arms
-  **one** :meth:`Environment.schedule_at` completion per plan instead
-  of thousands of per-request events.
+* the pass hands the same per-op rows to the file system's capture sink
+  and bumps the same filesystem telemetry counters the discrete path
+  would, then arms **one** :meth:`Environment.schedule_at` completion
+  per plan instead of thousands of per-request events.
 
 Fluid mode is approximate by contract (see ``docs/PERFORMANCE.md``):
 chunks of one op are enqueued at the I/O node as a unit, so sub-
@@ -133,11 +133,10 @@ class _Plan:
     """One node's op chain within a cohort."""
 
     __slots__ = (
-        "node", "start", "ops", "mod", "done", "idx", "bidx", "marks",
-        "end", "trace_add", "observers",
+        "node", "start", "ops", "mod", "done", "idx", "bidx", "marks", "end",
     )
 
-    def __init__(self, node, start, ops, ifs, mod, done):
+    def __init__(self, node, start, ops, mod, done):
         self.node = node
         self.start = start
         self.ops = ops
@@ -147,8 +146,6 @@ class _Plan:
         self.bidx = 0
         self.marks: list[tuple[str, float]] = []
         self.end: Optional[float] = None
-        self.trace_add = ifs.trace.add
-        self.observers = ifs._observers
 
 
 class _Cohort:
@@ -191,7 +188,7 @@ class FluidServicer:
         for ion in self.machine.ionodes:
             if not ion.eager:
                 return False
-        writeback = getattr(self.fs, "writeback", None)
+        writeback = self.fs.writeback
         if writeback is not None and not writeback.idle:
             return False
         return True
@@ -243,7 +240,6 @@ class FluidServicer:
         key: Hashable,
         parties: int,
         node: int,
-        ifs,
         probe: Sequence[tuple],
         build: Callable[[], Sequence[tuple]],
         mod=None,
@@ -254,8 +250,7 @@ class FluidServicer:
         distinct ``(fd, kind, nbytes)`` shape the plan will use) checked
         against the eligibility rules *before* ``build`` is called, so a
         decline consumes no RNG draws.  ``build`` returns the full raw op
-        chain (any iterable, a generator included); ``ifs`` is the
-        instrumented view rows are emitted through;
+        chain (any iterable, a generator included);
         ``mod`` (optional) is the compute node whose ``compute_time``
         absorbs :func:`compute` ops.
 
@@ -270,7 +265,7 @@ class FluidServicer:
         if cohort is None:
             cohort = cohorts[key] = _Cohort(key, parties, not self._machine_ok())
         if not cohort.declined and (
-            getattr(ifs, "overhead_s", 0.0) != 0.0  # capture perturbation
+            self.fs.capture_overhead_s != 0.0  # capture perturbation
             or not self._validate(node, probe, parties)
         ):
             if cohort.plans:
@@ -287,7 +282,7 @@ class FluidServicer:
             return None
         env = self.env
         ops = self._resolve(node, build())
-        plan = _Plan(node, env.now, ops, ifs, mod, Event(env))
+        plan = _Plan(node, env.now, ops, mod, Event(env))
         cohort.plans.append(plan)
         if cohort.joined == parties:
             env.at_boundary(partial(self._solve, cohort))
@@ -337,13 +332,16 @@ class FluidServicer:
         flush_service = c.flush_service_s
         wbuf_max = c.write_buffer_bytes
         op_read, op_write, op_seek, op_flush = Op.READ, Op.WRITE, Op.SEEK, Op.FLUSH
-        telem = fs.telemetry
+        emit = fs._emit
         now = env.now
 
         base = [ion.horizon for ion in ionodes]
         token_free: dict[Any, float] = {}
         barriers: dict[int, list] = {}
         n_ops = 0
+        # Op counts and bytes for the telemetry counters, added in one
+        # go: the whole pass runs at one simulated instant.
+        reads = writes = seeks = read_bytes = write_bytes = 0
 
         heap = [(p.start, i, p) for i, p in enumerate(plans)]
         heapq.heapify(heap)
@@ -355,8 +353,6 @@ class FluidServicer:
             ops = plan.ops
             nops = len(ops)
             node = plan.node
-            trace_add = plan.trace_add
-            observers = plan.observers
             while True:
                 i = plan.idx
                 if i == nops:
@@ -436,25 +432,19 @@ class FluidServicer:
                         code = op_read
                     f.advance(entry, count)
                     entry.last_op_offset = offset
-                    if telem is not None:
-                        if is_write:
-                            telem.writes += 1
-                            telem.write_bytes += count
-                        else:
-                            telem.reads += 1
-                            telem.read_bytes += count
-                    dur = t - t0
-                    trace_add(t0, node, code, f.file_id, offset, count, dur)
-                    for obs in observers:
-                        obs.observe(t0, node, code, f.file_id, offset,
-                                    count, dur)
+                    if is_write:
+                        writes += 1
+                        write_bytes += count
+                    else:
+                        reads += 1
+                        read_bytes += count
+                    emit(t0, node, code, f.file_id, offset, count, t - t0)
                 elif kind == OP_SEEK:
                     f = op[1]
                     entry = op[2]
                     target = op[3]
                     t0 = t
-                    if telem is not None:
-                        telem.seeks += 1
+                    seeks += 1
                     before = f.tell(entry)
                     entry.rbuf_start = entry.rbuf_end = -1
                     t += op_overhead
@@ -468,11 +458,7 @@ class FluidServicer:
                     moved = target - before
                     if moved < 0:
                         moved = -moved
-                    dur = t - t0
-                    trace_add(t0, node, op_seek, f.file_id, target, moved, dur)
-                    for obs in observers:
-                        obs.observe(t0, node, op_seek, f.file_id, target,
-                                    moved, dur)
+                    emit(t0, node, op_seek, f.file_id, target, moved, t - t0)
                 elif kind == OP_FLUSH:
                     f = op[1]
                     t0 = t
@@ -480,10 +466,7 @@ class FluidServicer:
                     if node in f.dirty_nodes:
                         t = ionodes[f.layout.first_ionode].reserve(t, flush_service)
                         f.dirty_nodes.discard(node)
-                    dur = t - t0
-                    trace_add(t0, node, op_flush, f.file_id, 0, 0, dur)
-                    for obs in observers:
-                        obs.observe(t0, node, op_flush, f.file_id, 0, 0, dur)
+                    emit(t0, node, op_flush, f.file_id, 0, 0, t - t0)
                 else:  # OP_MARK
                     plan.marks.append((op[1], t))
                 plan.idx = i + 1
@@ -498,6 +481,14 @@ class FluidServicer:
                 f"fluid cohort {cohort.key!r}: {len(stuck)} of {parties} "
                 f"plans never finished — divergent barrier structure"
             )
+
+        telem = fs.telemetry
+        if telem is not None:
+            telem.reads += reads
+            telem.writes += writes
+            telem.seeks += seeks
+            telem.read_bytes += read_bytes
+            telem.write_bytes += write_bytes
 
         # Hold the busy horizon so later *discrete* submits queue behind
         # the fluid tail exactly as they would behind real work.

@@ -187,12 +187,11 @@ class SpanRecorder:
     def attach(self, machine, fs) -> "SpanRecorder":
         """Plant hook handles on every layer of the request path."""
         self.env = machine.env
-        inner = getattr(fs, "fs", fs)
-        inner.spans = self
+        fs.spans = self
         machine.spans = self
         for ion in machine.ionodes:
             ion._spans = self
-        writeback = getattr(inner, "writeback", None)
+        writeback = fs.writeback
         if writeback is not None:
             writeback.spans = self
         bb = getattr(machine, "burstbuffer", None)

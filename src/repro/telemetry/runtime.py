@@ -51,7 +51,6 @@ class LiveCounters:
         "mesh_msgs",
         "mesh_bytes",
         "retries",
-        "prefetch_inflight",
     )
 
     def __init__(self) -> None:
@@ -81,7 +80,6 @@ class Telemetry:
         self.sampler: Optional[Sampler] = None
         self.meta: dict = {}
         self._machine = None
-        self._fs = None
         self._ppfs = None
         self._bb = None
         self._finalized = False
@@ -97,14 +95,10 @@ class Telemetry:
             request_hist = self.registry.histogram("ionode.request_bytes")
             for ionode in machine.ionodes:
                 ionode._telem = request_hist.observe
-            # InstrumentedPFS delegates attribute access to the wrapped fs
-            # methods, so hooking the inner PFS covers both spellings.
-            inner = getattr(fs, "fs", fs)
-            inner.telemetry = live
+            fs.telemetry = live
             self._machine = machine
-            self._fs = inner
             # Policy-layer sections only exist on PPFS.
-            self._ppfs = inner if hasattr(inner, "_server_caches") else None
+            self._ppfs = fs if hasattr(fs, "_server_caches") else None
             # Burst-buffer columns only exist on machines with the tier.
             self._bb = getattr(machine, "burstbuffer", None)
             self.series = TimeSeries(self._columns())
@@ -219,7 +213,7 @@ class Telemetry:
                 row += [wb.backlog_bytes(), wb.inflight_batches]
             else:
                 row += [0, 0]
-            push(live.prefetch_inflight)
+            push(ppfs.prefetch_inflight)
         bb = self._bb
         if bb is not None:
             row += [

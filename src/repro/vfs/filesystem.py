@@ -8,7 +8,7 @@ parallel program needs (``barrier``, ``compute``, ``now``).  Everything
 it does crosses the thread bridge; it owns no simulator state.
 
 :class:`NodeExecutor` is the other half: it lives on the kernel side,
-executes each marshalled request against the instrumented PFS, and
+executes each marshalled request against the captured PFS, and
 returns plain Python values.  Simulated PFS failures are translated to
 the built-in exception a real program expects (``FileNotFoundError``,
 ``FileExistsError``) before they re-raise on the user thread.
@@ -208,10 +208,9 @@ class NodeExecutor:
     """Kernel-side twin of one program's :class:`SimFileSystem`."""
 
     def __init__(self, fs, node: int, barrier, track_content: bool):
-        #: The run's InstrumentedPFS (ops land in the shared trace).
+        #: The run's file system; its capture sink lands ops in the shared
+        #: trace.
         self.fs = fs
-        #: The raw PFS beneath it (administrative/state access).
-        self.raw = fs.fs
         self.env = fs.env
         self.node = node
         self._barrier = barrier
@@ -236,7 +235,7 @@ class NodeExecutor:
         parties: Optional[int],
         cold: bool,
     ):
-        f = self.raw.lookup(path)
+        f = self.fs.lookup(path)
         if truncate and f is not None and not f.openers:
             # 'w' on an existing idle file: administrative content reset
             # before the traced open (creation cost was already paid when
@@ -257,7 +256,7 @@ class NodeExecutor:
         )
         if at_end:
             # O_APPEND: position at EOF administratively (no seek call).
-            entry = self.raw._entry(self.node, fd)
+            entry = self.fs._entry(self.node, fd)
             entry.file.set_pointer(entry, entry.file.size)
         return fd
 
@@ -285,14 +284,14 @@ class NodeExecutor:
 
     def _op_seek_end(self, fd: int):
         # Administrative EOF positioning for append-mode writes.
-        entry = self.raw._entry(self.node, fd)
+        entry = self.fs._entry(self.node, fd)
         entry.file.set_pointer(entry, entry.file.size)
         return _value(None)
 
     def _op_rewind(self, fd: int, back: int):
         # Administrative pointer correction when a SimFile drops unread
         # lookahead (the bytes were fetched, the program never saw them).
-        entry = self.raw._entry(self.node, fd)
+        entry = self.fs._entry(self.node, fd)
         entry.file.set_pointer(entry, max(0, entry.file.tell(entry) - back))
         return _value(None)
 
@@ -304,7 +303,7 @@ class NodeExecutor:
         return size
 
     def _op_truncate(self, fd: int, size: Optional[int]):
-        entry = self.raw._entry(self.node, fd)
+        entry = self.fs._entry(self.node, fd)
         f = entry.file
         new = f.tell(entry) if size is None else int(size)
         if new < 0:
@@ -330,7 +329,7 @@ class NodeExecutor:
         data = None
         if self._track:
             f = next(
-                (f for f in self.raw._files.values() if f.file_id == handle.file_id),
+                (f for f in self.fs._files.values() if f.file_id == handle.file_id),
                 None,
             )
             if f is not None and f._content is not None:
@@ -342,32 +341,32 @@ class NodeExecutor:
         return _value(self.fs.tell(self.node, fd))
 
     def _op_size_of_fd(self, fd: int):
-        return _value(self.raw._entry(self.node, fd).file.size)
+        return _value(self.fs._entry(self.node, fd).file.size)
 
     def _op_size_of(self, path: str):
-        f = self.raw.lookup(path)
+        f = self.fs.lookup(path)
         if f is None:
             raise FileNotFound(path)
         return _value(f.size)
 
     def _op_exists(self, path: str):
-        return _value(self.raw.exists(path))
+        return _value(self.fs.exists(path))
 
     def _op_listdir(self):
-        return _value(sorted(self.raw._files))
+        return _value(sorted(self.fs._files))
 
     def _op_now(self):
         return _value(self.env.now)
 
     # -- namespace / staging ---------------------------------------------------
     def _op_unlink(self, path: str):
-        yield from self.raw.unlink(self.node, path)
+        yield from self.fs.unlink(self.node, path)
 
     def _op_rename(self, old: str, new: str):
-        yield from self.raw.rename(self.node, old, new)
+        yield from self.fs.rename(self.node, old, new)
 
     def _op_pipe_file(self, path: str, data: bytes):
-        f = self.raw.ensure(path, size=len(data))
+        f = self.fs.ensure(path, size=len(data))
         if f._content is not None:
             del f._content[:]
             f.write_content(0, data)
@@ -375,7 +374,7 @@ class NodeExecutor:
         return _value(None)
 
     def _op_cat_file(self, path: str):
-        f = self.raw.lookup(path)
+        f = self.fs.lookup(path)
         if f is None:
             raise FileNotFound(path)
         if f._content is None:

@@ -169,9 +169,7 @@ class SimMachine(Assembly):
             fn = self._programs[node]
             channel = Channel()
             channels.append(channel)
-            executor = NodeExecutor(
-                self.instrumented, node, barrier, self.track_content
-            )
+            executor = NodeExecutor(self.fs, node, barrier, self.track_content)
             sfs = SimFileSystem(
                 channel, node, len(self._programs), self.track_content
             )

@@ -132,13 +132,14 @@ class TestResultCache:
 
     def test_model_version_tracks_the_golden_fixtures(self):
         """Regenerating the golden fixtures, or changing the span records
-        cached metrics summarize, means results changed: bump
+        or telemetry counters cached metrics summarize, means results
+        changed: bump
         MODEL_VERSION (so cached entries go stale) and re-pin here."""
         path = os.path.join(os.path.dirname(__file__), "data", "golden_trace_hashes.json")
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert (MODEL_VERSION, digest) == (
-            2, "b7d753793a293bd0bfbbb8bf6c241f084f6d6259e99b7ec6e3b510a4db6c2779"
+            3, "b7d753793a293bd0bfbbb8bf6c241f084f6d6259e99b7ec6e3b510a4db6c2779"
         )
 
     def test_incomplete_entry_is_not_a_hit(self, tmp_path):

@@ -20,10 +20,12 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, Progress, RunSpec, run_metrics
 from repro.core.registry import small_experiment
+from repro.pablo import Op
 from repro.ppfs.cache import CacheStats
 from repro.ppfs.policies import PPFSPolicies
 from repro.sim.core import Environment, Timeout
@@ -350,6 +352,38 @@ def ppfs_telemetry():
     return small_experiment(
         "escat", filesystem="ppfs", policies=PPFSPolicies(), telemetry=1.0
     ).run().telemetry
+
+
+def _trace_totals(traces) -> dict:
+    """The ``pfs.*`` counters as the Pablo rows of ``traces`` count them."""
+    ev = np.concatenate([t.events for t in traces.values()])
+    op, nbytes = ev["op"], ev["nbytes"]
+
+    def rows(*ops):
+        return np.isin(op, [int(o) for o in ops])
+
+    return {
+        "pfs.reads": int(rows(Op.READ).sum()),
+        "pfs.writes": int(rows(Op.WRITE).sum()),
+        "pfs.seeks": int(rows(Op.SEEK).sum()),
+        "pfs.opens": int(rows(Op.OPEN).sum()),
+        "pfs.areads": int(rows(Op.AREAD).sum()),
+        "pfs.read_bytes": int(nbytes[rows(Op.READ, Op.AREAD)].sum()),
+        "pfs.write_bytes": int(nbytes[rows(Op.WRITE)].sum()),
+    }
+
+
+@pytest.mark.parametrize("fs", ("pfs",) + tuple(f"ppfs/{p}" for p in PPFSPolicies.presets()))
+@pytest.mark.parametrize("app", ("escat", "render", "htf"))
+def test_pfs_counters_match_trace_totals(app, fs):
+    """Every traced op is counted once, whichever file system serves it."""
+    fields = {}
+    if fs != "pfs":
+        fields = {"filesystem": "ppfs", "policies": PPFSPolicies.from_name(fs[5:])}
+    result = small_experiment(app, telemetry=1.0, **fields).run()
+    reg = result.telemetry.registry
+    want = _trace_totals(result.traces)
+    assert {name: reg.get(name).value for name in want} == want
 
 
 class TestTelemetryRuntime:
