@@ -423,8 +423,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _load_trace(path: str):
+    """The trace at ``path`` (SDDF, or JSONL/CSV by extension), or None
+    after reporting why it cannot be read."""
+    from .ingest import load_trace
+
+    try:
+        return load_trace(path)
+    except (OSError, ValueError) as exc:
+        print(f"bad trace {path!r}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_characterize(args) -> int:
-    trace = Trace.load(args.trace)
+    trace = _load_trace(args.trace)
+    if trace is None:
+        return 2
     print(CharacterizationReport(trace).render())
     return 0
 
@@ -432,7 +446,9 @@ def _cmd_characterize(args) -> int:
 def _cmd_compare(args) -> int:
     traces = {}
     for path in args.traces:
-        trace = Trace.load(path)
+        trace = _load_trace(path)
+        if trace is None:
+            return 2
         name = trace.application or os.path.splitext(os.path.basename(path))[0]
         traces[name] = trace
     print(CrossAppComparison(traces).render())
@@ -440,12 +456,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from .ingest import load_trace
+    trace = _load_trace(args.trace)
+    return 2 if trace is None else _replay(args, trace)
 
+
+def _replay(args, trace: Trace) -> int:
     fields = _fs_fields(args)
     if fields is None:
         return 2
-    trace = load_trace(args.trace)
     result = replay_trace(trace, think_time=args.think, **fields)
     print(f"replayed {len(trace)} events from {trace.application!r}")
     print(f"I/O node-time ratio (new/original): {result.io_time_ratio:.3f}")
@@ -456,12 +474,10 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_ingest_convert(args) -> int:
-    from .ingest import SchemaError, export_trace, load_trace
+    from .ingest import SchemaError, export_trace
 
-    try:
-        trace = load_trace(args.src)
-    except (OSError, ValueError) as exc:
-        print(f"bad trace {args.src!r}: {exc}", file=sys.stderr)
+    trace = _load_trace(args.src)
+    if trace is None:
         return 2
     print(f"ingested: {trace.summary_line()}")
     try:
@@ -478,17 +494,12 @@ def _cmd_ingest_convert(args) -> int:
 
 
 def _cmd_ingest_replay(args) -> int:
-    from .ingest import load_trace
-
-    try:
-        trace = load_trace(args.src)
-    except (OSError, ValueError) as exc:
-        print(f"bad trace {args.src!r}: {exc}", file=sys.stderr)
+    trace = _load_trace(args.src)
+    if trace is None:
         return 2
     print(f"ingested: {trace.summary_line()} "
           f"({trace.nodes} nodes, {len(trace.file_names)} files)")
-    args.trace = args.src
-    return _cmd_replay(args)
+    return _replay(args, trace)
 
 
 def _cmd_campaign_run(args) -> int:
@@ -582,8 +593,10 @@ def _cmd_campaign_clean(args) -> int:
 
 
 def _cmd_faults_report(args) -> int:
-    trace = Trace.load(args.trace)
-    baseline = Trace.load(args.baseline) if args.baseline else None
+    trace = _load_trace(args.trace)
+    baseline = _load_trace(args.baseline) if args.baseline else None
+    if trace is None or (args.baseline and baseline is None):
+        return 2
     print(ResilienceReport(trace, baseline=baseline).render())
     return 0
 

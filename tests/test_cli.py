@@ -67,6 +67,32 @@ class TestSingleRunCommands:
         assert cli_main(["run", "escat", "--policies", "adaptive"]) == 2
 
 
+#: Every command that reads a trace file, with ``{}`` for the path.
+TRACE_COMMANDS = {
+    "characterize": ["characterize", "{}"],
+    "compare": ["compare", "{}", "{}"],
+    "replay": ["replay", "{}"],
+    "faults report": ["faults", "report", "{}"],
+    "ingest convert": ["ingest", "convert", "{}", "out.jsonl"],
+    "ingest replay": ["ingest", "replay", "{}"],
+}
+
+
+@pytest.mark.parametrize("kind", ("missing", "malformed"))
+@pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+def test_bad_trace_file_is_a_typed_error(command, kind, tmp_path, capsys):
+    """An unreadable trace ends in one stderr line and exit 2, not a
+    traceback."""
+    path = tmp_path / "bad.sddf"
+    if kind == "malformed":
+        path.write_text("this is not an SDDF stream\n")
+    argv = [arg.format(path) for arg in TRACE_COMMANDS[command]]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad trace {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
 class TestCampaignCommands:
     ARGS = ["--apps", "escat", "--fs", "pfs,ppfs",
             "--policies", "none,escat_tuned", "--quiet"]

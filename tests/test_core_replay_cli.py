@@ -177,9 +177,9 @@ class TestCli:
 
 
 class TestCliErrors:
-    def test_characterize_missing_file_raises(self):
-        with pytest.raises(FileNotFoundError):
-            cli_main(["characterize", "/no/such/trace.sddf"])
+    def test_characterize_missing_file_is_usage_error(self, capsys):
+        assert cli_main(["characterize", "/no/such/trace.sddf"]) == 2
+        assert capsys.readouterr().err.startswith("bad trace '/no/such/trace.sddf': ")
 
     def test_unknown_command_exits(self, capsys):
         with pytest.raises(SystemExit):
