@@ -40,7 +40,7 @@ scale-smoke:
 	PYTHONPATH=src:. python benchmarks/bench_production_scale.py --smoke
 
 examples:
-	for ex in examples/*.py; do echo "== $$ex =="; python $$ex || exit 1; done
+	for ex in examples/*.py; do echo "== $$ex =="; PYTHONPATH=src:. python $$ex || exit 1; done
 
 campaign-smoke:
 	PYTHONPATH=src python -m repro campaign run --name smoke \
