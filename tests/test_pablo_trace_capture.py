@@ -1,5 +1,7 @@
 """Trace container and instrumented-capture tests."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,20 @@ class TestCapture:
     def test_negative_overhead_rejected(self, machine):
         with pytest.raises(ValueError):
             InstrumentedPFS(PFS(machine), overhead_s=-0.1)
+
+    def test_ops_on_the_file_system_itself_are_captured(self, machine, ifs):
+        """The capture is a sink inside the file system: calling its ops
+        directly records the same rows as calling them through ``ifs``."""
+        drive(machine, simple_workload(ifs.fs))
+        direct = ifs.trace.events.copy()
+        twin = InstrumentedPFS(PFS(make_machine()), trace=Trace("test", nodes=8))
+        drive(twin.fs.machine, simple_workload(twin))
+        assert direct.tobytes() == twin.trace.events.tobytes()
+
+    def test_passes_attribute_access_through(self, ifs):
+        assert ifs.read == ifs.fs.read
+        assert ifs.track_content is ifs.fs.track_content
+        assert copy.copy(ifs).fs is ifs.fs
 
     def test_setiomode_passthrough_emits_no_event(self, machine, ifs):
         def go():
