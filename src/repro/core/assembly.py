@@ -241,8 +241,9 @@ class Assembly:
         )
 
     def capture(self, fs: PFS, trace: Optional[Trace] = None) -> InstrumentedPFS:
-        """The capture factory: ``fs`` instrumented with this run's
-        overhead and observers (one call per traced program)."""
+        """The capture factory: installs a capture with this run's
+        overhead and observers on ``fs`` (one call per traced program;
+        each replaces the last)."""
         instrumented = InstrumentedPFS(fs, trace=trace, overhead_s=self.capture_overhead_s)
         for obs in self.observers:
             instrumented.add_observer(obs)
