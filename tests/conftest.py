@@ -72,6 +72,26 @@ def paper_run():
     return run
 
 
+@pytest.fixture(scope="session")
+def recorded():
+    """One small spans-on run per app, plus ``escat_tuned``: ESCAT on
+    PPFS, whose write-behind flusher prices its bursts through
+    ``IONode.submit_batch``.  Shared read-only by the span invariants and
+    the analysis pins."""
+    from repro.core.registry import small_experiment
+    from repro.ppfs.policies import PPFSPolicies
+
+    out = {
+        app: small_experiment(app, spans=True).run()
+        for app in ("escat", "render", "htf", "checkpoint")
+    }
+    out["escat_tuned"] = small_experiment(
+        "escat", spans=True, filesystem="ppfs",
+        policies=PPFSPolicies.from_name("escat_tuned"),
+    ).run()
+    return out
+
+
 def drive(machine: Paragon, *generators, names=None):
     """Run generators as processes to completion; return their values.
 
