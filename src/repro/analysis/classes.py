@@ -21,10 +21,10 @@ import enum
 from dataclasses import dataclass
 
 from ..pablo.trace import Trace
-from .cyclic import detect_cycles
+from .cyclic import FileCycles, access_cycles
 from .file_access import FileAccessMap
 
-__all__ = ["IOClass", "FileClassification", "classify_files"]
+__all__ = ["IOClass", "FileClassification", "classify_files", "classify_access"]
 
 
 class IOClass(enum.Enum):
@@ -51,7 +51,15 @@ class FileClassification:
 def classify_files(
     trace: Trace, cycle_gap_s: float = 30.0, ooc_min_cycles: int = 3
 ) -> dict[int, FileClassification]:
-    """Classify every file in the trace.
+    """Classify every file in the trace (see :func:`classify_access`)."""
+    amap = FileAccessMap(trace)
+    return classify_access(amap, access_cycles(amap, cycle_gap_s), ooc_min_cycles)
+
+
+def classify_access(
+    amap: FileAccessMap, cycles: dict[int, FileCycles], ooc_min_cycles: int = 3
+) -> dict[int, FileClassification]:
+    """Classify every file of an access map, given its activity cycles.
 
     Rules, applied in order:
 
@@ -62,8 +70,6 @@ def classify_files(
     4. write-only -> COMPULSORY_OUTPUT;
     5. anything else -> MIXED.
     """
-    amap = FileAccessMap(trace)
-    cycles = detect_cycles(trace, gap_s=cycle_gap_s)
     out: dict[int, FileClassification] = {}
     for fid, fa in amap.files.items():
         n_read_cycles = 0

@@ -18,8 +18,9 @@ import numpy as np
 
 from ..pablo.events import Op
 from ..pablo.trace import Trace
+from .file_access import FileAccessMap
 
-__all__ = ["FileCycles", "detect_cycles", "reuse_intervals", "ReuseStats"]
+__all__ = ["FileCycles", "detect_cycles", "access_cycles", "reuse_intervals", "ReuseStats"]
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,16 @@ class FileCycles:
 def detect_cycles(trace: Trace, gap_s: float = 30.0) -> dict[int, FileCycles]:
     """Per-file activity cycles: runs of data accesses split at quiet
     gaps of at least ``gap_s`` seconds."""
+    return access_cycles(FileAccessMap(trace), gap_s)
+
+
+def access_cycles(amap: FileAccessMap, gap_s: float = 30.0) -> dict[int, FileCycles]:
+    """:func:`detect_cycles` over an access map already built."""
     if gap_s <= 0:
         raise ValueError(f"gap_s must be > 0, got {gap_s}")
-    ev = trace.events
     out: dict[int, FileCycles] = {}
-    if len(ev) == 0:
-        return out
-    data = ev[np.isin(ev["op"], [int(Op.READ), int(Op.AREAD), int(Op.WRITE)])]
-    for fid in np.unique(data["file_id"]):
-        times = np.sort(data["timestamp"][data["file_id"] == fid].astype(float))
-        if len(times) == 0:
-            continue
+    for fid, fa in amap.files.items():
+        times = np.sort(np.concatenate([fa.read_times, fa.write_times]))
         breaks = np.nonzero(np.diff(times) >= gap_s)[0]
         starts = np.concatenate([[0], breaks + 1])
         ends = np.concatenate([breaks, [len(times) - 1]])
@@ -75,7 +75,7 @@ def detect_cycles(trace: Trace, gap_s: float = 30.0) -> dict[int, FileCycles]:
         gaps = tuple(
             float(cycles[i + 1][0] - cycles[i][1]) for i in range(len(cycles) - 1)
         )
-        out[int(fid)] = FileCycles(int(fid), cycles, gaps)
+        out[fid] = FileCycles(fid, cycles, gaps)
     return out
 
 

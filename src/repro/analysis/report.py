@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 from ..pablo.events import Op
 from ..pablo.trace import Trace
-from .classes import FileClassification, classify_files
-from .cyclic import detect_cycles, reuse_intervals
+from .classes import FileClassification, classify_access
+from .cyclic import FileCycles, ReuseStats, access_cycles, reuse_intervals
 from .file_access import FileAccessMap
 from .operations import OperationTable
 from .patterns import PatternKind, PatternSummary
@@ -34,6 +34,8 @@ class CharacterizationReport:
     phases: list[Phase] = field(init=False)
     patterns: PatternSummary = field(init=False)
     file_access: FileAccessMap = field(init=False)
+    cycles: dict[int, FileCycles] = field(init=False)
+    reuse: ReuseStats = field(init=False)
     file_classes: dict[int, FileClassification] = field(init=False)
     phase_window_s: float = 20.0
 
@@ -42,8 +44,11 @@ class CharacterizationReport:
         self.sizes = SizeTable(self.trace)
         self.phases = detect_phases(self.trace, window_s=self.phase_window_s)
         self.patterns = PatternSummary(self.trace)
+        # One access map per report; the cycles and the classes read it.
         self.file_access = FileAccessMap(self.trace)
-        self.file_classes = classify_files(self.trace)
+        self.cycles = access_cycles(self.file_access)
+        self.reuse = reuse_intervals(self.trace)
+        self.file_classes = classify_access(self.file_access, self.cycles)
 
     # -- headline observations -------------------------------------------------
     def observations(self) -> list[str]:
@@ -65,15 +70,13 @@ class CharacterizationReport:
             out.append("read sizes are bimodal")
         seq = self.patterns.fraction(PatternKind.SEQUENTIAL)
         out.append(f"{100 * seq:.0f}% of access streams are sequential")
-        cycles = detect_cycles(self.trace)
-        cyclic = sum(1 for fc in cycles.values() if fc.is_cyclic)
+        cyclic = sum(1 for fc in self.cycles.values() if fc.is_cyclic)
         if cyclic:
             out.append(f"{cyclic} file(s) show cyclic access")
-        reuse = reuse_intervals(self.trace)
-        if reuse.reuse_fraction > 0.3:
+        if self.reuse.reuse_fraction > 0.3:
             out.append(
-                f"{100 * reuse.reuse_fraction:.0f}% of region touches are "
-                f"re-touches (mean reuse interval {reuse.mean_interval_s:.1f}s)"
+                f"{100 * self.reuse.reuse_fraction:.0f}% of region touches are "
+                f"re-touches (mean reuse interval {self.reuse.mean_interval_s:.1f}s)"
             )
         return out
 
