@@ -14,6 +14,7 @@ import hashlib
 import pytest
 
 import repro.pfs as pfs_pkg
+from repro.analysis.phases import detect_phases
 from repro.analysis.resilience import ResilienceReport
 from repro.apps.workloads import small_machine
 from repro.core.registry import small_experiment
@@ -343,6 +344,29 @@ class TestFaultedRunEndToEnd:
         report = ResilienceReport(faulted, baseline=baseline)
         assert report.slowdown is not None
         assert report.slowdown >= 1.0
+
+    def test_per_phase_slowdown_vs_fault_free_twin(self, tmp_path, capsys):
+        from repro.cli import main
+
+        baseline = small_experiment("escat").run().traces["escat"]
+        faulted = _faulted_escat().traces["escat"]
+        baseline.save(str(tmp_path / "base.sddf"))
+        faulted.save(str(tmp_path / "faulted.sddf"))
+        assert main(["faults", "report", str(tmp_path / "faulted.sddf"),
+                     "--baseline", str(tmp_path / "base.sddf")]) == 0
+        text = capsys.readouterr().out
+        assert "Per-phase slowdown" in text
+        window = ResilienceReport(faulted).phase_window_s
+        ours = detect_phases(faulted, window_s=window)
+        theirs = detect_phases(baseline, window_s=window)
+        rows = ResilienceReport(faulted, baseline=baseline).phase_slowdowns()
+        assert len(rows) == min(len(ours), len(theirs)) > 0
+        # One rendered row per paired phase, after the section's header.
+        body = text.split("Per-phase slowdown")[1].splitlines()[2:]
+        assert len(body) == len(rows)
+        for (label, base_s, mine_s, ratio), mine, base in zip(rows, ours, theirs):
+            assert (label, base_s, mine_s) == (base.label, base.duration, mine.duration)
+            assert ratio == mine.duration / base.duration
 
     def test_permanent_drops_exhaust_retry_budget(self):
         # Every request dropped forever: the budget must surface a typed
