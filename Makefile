@@ -99,8 +99,10 @@ vfs-smoke:
 	PYTHONPATH=src python -m pytest tests/test_vfs.py -q
 
 # Spans smoke: record causal spans for one run, then drive every
-# consumer surface — report, per-request tree, critical path, and
-# Chrome trace-event export (loadable in Perfetto / chrome://tracing).
+# consumer surface — report, per-request tree, critical path with its
+# slowest ops, and Chrome trace-event export (loadable in Perfetto /
+# chrome://tracing).  A fluid-fidelity HTF capture then puts fluid.plan
+# roots through the critical path.
 spans-smoke:
 	PYTHONPATH=src python -m repro run escat --spans \
 		--save-dir $(CAMPAIGN_CACHE).spans
@@ -109,10 +111,14 @@ spans-smoke:
 	PYTHONPATH=src python -m repro spans show \
 		$(CAMPAIGN_CACHE).spans/escat.spans.jsonl --limit 3
 	PYTHONPATH=src python -m repro spans critical-path \
-		$(CAMPAIGN_CACHE).spans/escat.spans.jsonl
+		$(CAMPAIGN_CACHE).spans/escat.spans.jsonl --ops 2
 	PYTHONPATH=src python -m repro spans export \
 		$(CAMPAIGN_CACHE).spans/escat.spans.jsonl --format chrome \
 		--out $(CAMPAIGN_CACHE).spans/escat.chrome.json
+	PYTHONPATH=src python -m repro run htf --fidelity fluid --spans \
+		--save-dir $(CAMPAIGN_CACHE).spans/fluid
+	PYTHONPATH=src python -m repro spans critical-path \
+		$(CAMPAIGN_CACHE).spans/fluid/htf.spans.jsonl --ops 2
 	rm -rf $(CAMPAIGN_CACHE).spans
 
 # Ledger smoke: every benchmark workload at small scale, one round, with
