@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
+    FileAccess,
+    FileAccessMap,
+    FileCycles,
     IOClass,
     LoadReport,
     ReuseStats,
@@ -181,6 +184,78 @@ def reference_reuse_intervals(trace, region_bytes, file_id=None):
         median_interval_s=float(np.median(arr)) if len(arr) else 0.0,
         max_interval_s=float(arr.max()) if len(arr) else 0.0,
     )
+
+
+class TestPerFileGrouping:
+    """The access map and the cycles group the trace by file once; the
+    per-file masks they replaced are kept below as the reference."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.1, 1.5, 7.3, 40.0, 95.2]),  # ties in time
+                st.sampled_from(list(Op)),
+                st.integers(3, 6),
+                st.integers(0, 2_000_000),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([0.5, 5.0, 30.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_file_masks(self, rows, gap):
+        trace = make_trace(
+            [(t, 0, op, fid, 0, n, 0.1) for t, op, fid, n in rows]
+        )
+        trace.file_names[4] = "/named"
+        got, want = FileAccessMap(trace).files, reference_access(trace)
+        assert list(got) == list(want)
+        for fid, fa in got.items():
+            ref = want[fid]
+            assert (fa.file_id, fa.name, fa.bytes_read, fa.bytes_written) == (
+                ref.file_id, ref.name, ref.bytes_read, ref.bytes_written
+            )
+            for times, ref_times in ((fa.read_times, ref.read_times),
+                                     (fa.write_times, ref.write_times)):
+                assert times.dtype == ref_times.dtype
+                assert times.tobytes() == ref_times.tobytes()
+        assert detect_cycles(trace, gap_s=gap) == reference_cycles(trace, gap)
+
+
+def reference_access(trace):
+    """One full-trace mask per file, as :class:`FileAccessMap` once did."""
+    ev = trace.events
+    files = {}
+    read_ops = np.isin(ev["op"], [int(Op.READ), int(Op.AREAD)])
+    write_ops = ev["op"] == int(Op.WRITE)
+    for fid in np.unique(ev["file_id"]):
+        r = ev[(ev["file_id"] == fid) & read_ops]
+        w = ev[(ev["file_id"] == fid) & write_ops]
+        if len(r) or len(w):
+            files[int(fid)] = FileAccess(
+                int(fid), trace.file_names.get(int(fid), ""),
+                np.sort(r["timestamp"].astype(float)), np.sort(w["timestamp"].astype(float)),
+                int(r["nbytes"].sum()), int(w["nbytes"].sum()),
+            )
+    return files
+
+
+def reference_cycles(trace, gap_s):
+    """One full-trace mask per file, as :func:`detect_cycles` once did."""
+    ev = trace.events
+    data = ev[np.isin(ev["op"], [int(Op.READ), int(Op.AREAD), int(Op.WRITE)])]
+    out = {}
+    for fid in np.unique(data["file_id"]):
+        times = np.sort(data["timestamp"][data["file_id"] == fid].astype(float))
+        breaks = np.nonzero(np.diff(times) >= gap_s)[0]
+        starts = np.concatenate([[0], breaks + 1])
+        ends = np.concatenate([breaks, [len(times) - 1]])
+        cycles = tuple(
+            (float(times[s]), float(times[e]), int(e - s + 1)) for s, e in zip(starts, ends)
+        )
+        gaps = tuple(float(cycles[i + 1][0] - cycles[i][1]) for i in range(len(cycles) - 1))
+        out[int(fid)] = FileCycles(int(fid), cycles, gaps)
+    return out
 
 
 class TestClassifyFiles:
