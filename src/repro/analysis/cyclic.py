@@ -19,6 +19,7 @@ import numpy as np
 from ..pablo.events import Op
 from ..pablo.trace import Trace
 from .file_access import FileAccessMap
+from .stats import median
 
 __all__ = ["FileCycles", "detect_cycles", "access_cycles", "reuse_intervals", "ReuseStats"]
 
@@ -138,6 +139,6 @@ def reuse_intervals(
         n_reuses=len(arr),
         n_first_touches=first,
         mean_interval_s=float(arr.mean()) if len(arr) else 0.0,
-        median_interval_s=float(np.median(arr)) if len(arr) else 0.0,
+        median_interval_s=median(arr) if len(arr) else 0.0,
         max_interval_s=float(arr.max()) if len(arr) else 0.0,
     )

@@ -82,7 +82,8 @@ class FileAccessMap:
         rows = np.flatnonzero(np.isin(ev["op"], [int(Op.READ), int(Op.AREAD), int(Op.WRITE)]))
         rows = rows[np.lexsort((ev["timestamp"][rows], ev["file_id"][rows]))]
         writes = ev["op"][rows] == int(Op.WRITE)
-        fids = np.unique(ev["file_id"][rows])
+        fid = ev["file_id"][rows]
+        fids = np.concatenate([fid[:1], fid[1:][fid[1:] != fid[:-1]]])  # sorted by file
         per_file = (_by_file(ev, rows[~writes], fids), _by_file(ev, rows[writes], fids))
         for fid, (r_times, r_bytes), (w_times, w_bytes) in zip(fids.tolist(), *per_file):
             self.files[fid] = FileAccess(

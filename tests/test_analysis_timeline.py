@@ -1,10 +1,16 @@
 """Timeline, burst, file-access-map, phase, pattern and stats tests."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis import (
     BurstAnalysis,
     Distribution,
@@ -20,6 +26,7 @@ from repro.analysis import (
     op_duration_distribution,
     op_size_distribution,
 )
+from repro.analysis.stats import median
 from repro.pablo import Op, Trace
 
 
@@ -226,6 +233,49 @@ class TestStats:
         assert d.mean == 2.5
         assert d.minimum == 1.0 and d.maximum == 4.0
         assert d.median == 2.5
+
+    @given(st.lists(st.floats() | st.sampled_from((-0.0, float("nan"), float("inf"))), min_size=1))
+    @settings(max_examples=150, deadline=None)
+    def test_median_matches_numpy_bit_for_bit(self, values):
+        """Odd and even lengths, -0.0, NaN and +-inf included."""
+        values = np.array(values)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            expected = float(np.median(values))
+        got = median(values)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes() or (
+            np.isnan(got) and np.isnan(expected)
+        )
+
+    def test_median_of_random_arrays(self):
+        rng = np.random.default_rng(1995)
+        for size in (1, 2, 3, 10, 101, 1000, 1001):
+            values = rng.lognormal(size=size)
+            assert median(values) == float(np.median(values))
+
+    def test_analysis_leaves_numpy_ma_unimported(self):
+        """np.median and np.unique import numpy.ma on first use (about 12 ms
+        of every analysis); a spans-and-telemetry run through the reports
+        must not."""
+        code = (
+            "import sys\n"
+            "from repro.analysis import CharacterizationReport, critical_path\n"
+            "from repro.core.registry import small_experiment\n"
+            "from repro.telemetry import render_report\n"
+            "result = small_experiment('htf', spans=True, telemetry=1.0).run()\n"
+            "for trace in result.traces.values():\n"
+            "    CharacterizationReport(trace).render()\n"
+            "critical_path(result.spans.store).render()\n"
+            "render_report(result.telemetry.as_dict())\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_empty_distribution(self):
         d = Distribution.of(np.array([]))
