@@ -98,13 +98,14 @@ vfs-smoke:
 	PYTHONPATH=src python examples/byoapp_sort.py > /dev/null
 	PYTHONPATH=src python -m pytest tests/test_vfs.py -q
 
-# Spans smoke: record causal spans for one run, then drive every
-# consumer surface — report, per-request tree, critical path with its
-# slowest ops, and Chrome trace-event export (loadable in Perfetto /
-# chrome://tracing).  A fluid-fidelity HTF capture then puts fluid.plan
-# roots through the critical path.
+# Spans smoke: record causal spans and telemetry for one run, then drive
+# every consumer surface — report, per-request tree, critical path with
+# its slowest ops, and Chrome trace-event export (loadable in Perfetto /
+# chrome://tracing), alone and with the telemetry counters spliced in
+# (the merged file must parse).  A fluid-fidelity HTF capture then puts
+# fluid.plan roots through the critical path.
 spans-smoke:
-	PYTHONPATH=src python -m repro run escat --spans \
+	PYTHONPATH=src python -m repro run escat --spans --telemetry 1.0 \
 		--save-dir $(CAMPAIGN_CACHE).spans
 	PYTHONPATH=src python -m repro spans report \
 		$(CAMPAIGN_CACHE).spans/escat.spans.jsonl
@@ -115,6 +116,12 @@ spans-smoke:
 	PYTHONPATH=src python -m repro spans export \
 		$(CAMPAIGN_CACHE).spans/escat.spans.jsonl --format chrome \
 		--out $(CAMPAIGN_CACHE).spans/escat.chrome.json
+	PYTHONPATH=src python -m repro spans export \
+		$(CAMPAIGN_CACHE).spans/escat.spans.jsonl --format chrome \
+		--telemetry $(CAMPAIGN_CACHE).spans/escat.telemetry.jsonl \
+		--out $(CAMPAIGN_CACHE).spans/escat.merged.json
+	python -c "import json,sys; json.load(open(sys.argv[1]))" \
+		$(CAMPAIGN_CACHE).spans/escat.merged.json
 	PYTHONPATH=src python -m repro run htf --fidelity fluid --spans \
 		--save-dir $(CAMPAIGN_CACHE).spans/fluid
 	PYTHONPATH=src python -m repro spans critical-path \
