@@ -36,6 +36,7 @@ from ..pablo.capture import InstrumentedPFS
 from ..pablo.events import Op
 from ..pablo.trace import Trace
 from ..pfs.filesystem import PFS
+from ..util import distinct
 from .base import Application
 
 __all__ = ["TraceReplayConfig", "TraceReplay", "THINK_TIMES"]
@@ -45,14 +46,11 @@ THINK_TIMES = ("preserve", "none", "anchor")
 
 
 def node_streams(trace: Trace) -> dict[int, np.ndarray]:
-    """Per-node event arrays in timestamp order."""
+    """Per-node event arrays in timestamp order (ties keep trace order)."""
     ev = trace.events
-    streams: dict[int, np.ndarray] = {}
-    for node in np.unique(ev["node"]):
-        sel = ev[ev["node"] == node]
-        order = np.argsort(sel["timestamp"], kind="stable")
-        streams[int(node)] = sel[order]
-    return streams
+    ev = ev[np.lexsort((ev["timestamp"], ev["node"]))]  # one stable sort: node, then time
+    nodes = distinct(ev["node"])
+    return dict(zip(nodes.tolist(), np.split(ev, np.searchsorted(ev["node"], nodes[1:]))))
 
 
 def replay_node(
@@ -149,11 +147,13 @@ def prepare_replay_files(
     """Pre-create every file the trace touches at its maximum data
     extent, with its original file id, so replayed reads see data."""
     ev = trace.events
-    for file_id in np.unique(ev["file_id"]):
-        sel = ev[ev["file_id"] == file_id]
-        data = sel[np.isin(sel["op"], [int(Op.READ), int(Op.AREAD), int(Op.WRITE)])]
-        size = int((data["offset"] + data["nbytes"]).max()) if len(data) else 0
-        fs.ensure(path_of(int(file_id)), file_id=int(file_id), size=size)
+    file_ids = distinct(ev["file_id"])
+    data = ev[np.isin(ev["op"], [int(Op.READ), int(Op.AREAD), int(Op.WRITE)])]
+    sizes = np.zeros(len(file_ids), dtype=np.int64)
+    ends = data["offset"] + data["nbytes"]
+    np.maximum.at(sizes, np.searchsorted(file_ids, data["file_id"]), ends)
+    for file_id, size in zip(file_ids.tolist(), sizes.tolist()):
+        fs.ensure(path_of(file_id), file_id=file_id, size=size)
 
 
 @dataclass(frozen=True)

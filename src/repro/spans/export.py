@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
+from ..util import distinct
 from .store import SpanStore
 
 __all__ = [
@@ -98,12 +99,6 @@ def _ints(column: np.ndarray) -> list[int]:
     return column.astype(np.int64).tolist()
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Ascending distinct values (``np.unique`` hashes: slower here, and it imports numpy.ma)."""
-    values = np.sort(values)
-    return np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])
-
-
 def _joined(blocks: Iterable[str]) -> str:
     """The blocks as one string via one growing buffer: a freed list of blocks
     leaves the heap in pieces too small for the next copy of the text."""
@@ -117,7 +112,7 @@ def _speller(columns: list[np.ndarray]):
     """``spell(values) -> list[str]``, each value as ``json.dumps`` writes it.
     Span columns repeat values (shared boundaries, constant ``aux``), so each
     distinct bit pattern in ``columns`` is spelled once; ``-0.0`` is not ``0.0``."""
-    bits = _distinct(np.concatenate([column.view(np.int64) for column in columns]))
+    bits = distinct(np.concatenate([column.view(np.int64) for column in columns]))
     values = bits.view(np.float64)
     table = np.fromiter(map(float.__repr__, values), dtype=object, count=len(values))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
@@ -156,7 +151,7 @@ def _chrome_meta(pids: list[int], codes: np.ndarray, nodes: np.ndarray) -> list[
     """Process and thread metadata events for the pid and tid lanes in use."""
     row_pids = np.asarray(pids, dtype=np.int64)[codes.astype(np.int64)]
     tids = np.maximum(nodes.astype(np.int64), 0)
-    used_pids = _distinct(row_pids).tolist()
+    used_pids = distinct(row_pids).tolist()
     return [
         {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
          "args": {"name": _PROCESS_NAMES.get(pid, f"pid {pid}")}}
@@ -165,7 +160,7 @@ def _chrome_meta(pids: list[int], codes: np.ndarray, nodes: np.ndarray) -> list[
         {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
          "args": {"name": _thread_label(pid, tid)}}
         for pid in used_pids
-        for tid in _distinct(tids[row_pids == pid]).tolist()
+        for tid in distinct(tids[row_pids == pid]).tolist()
     ]
 
 

@@ -1,4 +1,7 @@
-"""Shared helpers: byte units, formatting, validation, atomic file writes."""
+"""Shared helpers: byte units, formatting, validation, atomic file writes,
+distinct values of an array."""
+
+import numpy as np
 
 from .io import atomic_write_json, atomic_write_text
 from .parsing import csv_list, parse_size
@@ -20,4 +23,12 @@ __all__ = [
     "sanitize_filename",
     "atomic_write_text",
     "atomic_write_json",
+    "distinct",
 ]
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct values by one sort (``np.unique`` hashes: slower on
+    integer keys, and its first call imports numpy.ma)."""
+    values = np.sort(values)
+    return np.concatenate([values[:1], values[1:][values[1:] != values[:-1]]])

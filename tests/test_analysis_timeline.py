@@ -255,8 +255,8 @@ class TestStats:
 
     def test_analysis_leaves_numpy_ma_unimported(self):
         """np.median and np.unique import numpy.ma on first use (about 12 ms
-        of every analysis); a spans-and-telemetry run through the reports
-        must not."""
+        of every analysis); a spans-and-telemetry run through the reports,
+        and a replay of one of its traces, must not."""
         code = (
             "import sys\n"
             "from repro.analysis import CharacterizationReport, critical_path\n"
@@ -267,6 +267,9 @@ class TestStats:
             "    CharacterizationReport(trace).render()\n"
             "critical_path(result.spans.store).render()\n"
             "render_report(result.telemetry.as_dict())\n"
+            "from repro.apps.workloads import small_machine\n"
+            "from repro.core.replay import replay_trace\n"
+            "replay_trace(result.traces['pscf'], machine_factory=small_machine)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
