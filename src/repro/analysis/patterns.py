@@ -125,12 +125,3 @@ class PatternSummary:
         else:
             raise ValueError(f"weight must be streams/accesses, got {weight!r}")
         return hit / total if total else 0.0
-
-    def dominant(self) -> PatternKind:
-        """The most common pattern by stream count."""
-        if not self.streams:
-            return PatternKind.SINGLE
-        counts: dict[PatternKind, int] = {}
-        for s in self.streams:
-            counts[s.kind] = counts.get(s.kind, 0) + 1
-        return max(counts, key=lambda k: counts[k])

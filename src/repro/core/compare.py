@@ -111,15 +111,6 @@ class CrossAppComparison:
                 whole += 1
         return whole / len(amap.files)
 
-    def written_data_survives(self, name: str) -> bool:
-        """All written bytes propagate to storage (no short-lived temp
-        files whose data never reaches disk) — true by construction for
-        PFS and checked against trace totals for PPFS write-behind."""
-        tr = self.traces[name]
-        ev = tr.events
-        written = int(ev["nbytes"][ev["op"] == int(Op.WRITE)].sum())
-        return written >= 0
-
     def render(self) -> str:
         """Text table of per-app summaries."""
         header = (

@@ -77,18 +77,6 @@ class FaultRecorder:
         if self.spans is not None:
             self.spans.add("fault.degraded", ionode, start_ts, start_ts + seconds)
 
-    @property
-    def fault_count(self) -> int:
-        return sum(1 for r in self.rows if r[2] == int(Op.FAULT))
-
-    @property
-    def retry_count(self) -> int:
-        return sum(1 for r in self.rows if r[2] == int(Op.RETRY))
-
-    @property
-    def degraded_seconds(self) -> float:
-        return sum(r[6] for r in self.rows if r[2] == int(Op.DEGRADED))
-
 
 class FaultInjector:
     """Binds a plan to a machine (and optionally a file system).

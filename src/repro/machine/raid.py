@@ -118,11 +118,6 @@ class Raid3Array:
     def capacity_bytes(self) -> int:
         return self.params.capacity_bytes
 
-    @property
-    def state_code(self) -> int:
-        """The current state as its :data:`STATE_CODES` number."""
-        return STATE_CODES[self.state]
-
     # -- fault state transitions (driven by repro.faults) ----------------------
     def _refresh(self) -> None:
         self._factor = self._degraded_factor * self._slow_factor
