@@ -82,11 +82,13 @@ class ResultCache:
         return self.model_version(run_hash) != MODEL_VERSION
 
     def load_spec(self, run_hash: str) -> Optional[RunSpec]:
-        path = os.path.join(self.entry_dir(run_hash), _SPEC)
-        if not os.path.isfile(path):
+        """The entry's run spec, or None when it is missing, unreadable or
+        no longer validates (say, its trace file is gone)."""
+        try:
+            with open(os.path.join(self.entry_dir(run_hash), _SPEC)) as fh:
+                return RunSpec.from_dict(json.load(fh))
+        except (OSError, KeyError, ValueError):
             return None
-        with open(path) as fh:
-            return RunSpec.from_dict(json.load(fh))
 
     def load_trace(self, run_hash: str, name: str) -> Trace:
         return Trace.load(self.trace_path(run_hash, name))

@@ -42,13 +42,13 @@ from typing import Optional
 
 from .analysis.report import CharacterizationReport
 from .analysis.resilience import ResilienceReport
-from .apps.trace import THINK_TIMES, TraceReplayConfig
+from .apps.trace import THINK_TIMES
 from .campaign.cache import MODEL_VERSION, ResultCache
 from .campaign.runner import CampaignRunner, code_version
-from .campaign.spec import CampaignSpec
-from .core.assembly import FILESYSTEMS
+from .campaign.spec import CampaignSpec, RunSpec
+from .core.assembly import FIDELITIES, FILESYSTEMS
 from .core.compare import CrossAppComparison
-from .core.registry import APPLICATIONS, MACHINES, scaled_experiment
+from .core.registry import APPLICATIONS, MACHINES
 from .core.replay import replay_trace
 from .faults.plan import DiskFailure, FaultPlan, NodeOutage, RequestDrops
 from .pablo.trace import Trace
@@ -59,16 +59,19 @@ __all__ = ["main"]
 
 _DEFAULT_CACHE_DIR = ".campaign-cache"
 
-#: argparse-friendly aliases for the shared parsers in repro.util.
-_csv = csv_list
-
-
-def _parse_size(text: str) -> int:
-    """:func:`repro.util.parse_size` with argparse error reporting."""
+def _parse_number(text, parse=float):
+    """Option ``text`` as ``parse`` reads it.  Anything else (the bare flag's
+    True, text that does not parse) passes through unchanged for the run's
+    own check to accept or reject."""
     try:
-        return parse_size(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        return parse(text) if isinstance(text, str) else text
+    except ValueError:
+        return text
+
+
+def _parse_size(text):
+    """Option ``text`` as a byte count like ``64MB`` (see :func:`_parse_number`)."""
+    return _parse_number(text, parse_size)
 
 
 def _parse_override(pair: str) -> tuple[str, object]:
@@ -97,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {code_version()}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # The file-system options every simulating command reads (_fs_fields).
+    # The file-system options every simulating command reads.
     fs_options = argparse.ArgumentParser(add_help=False)
     fs_options.add_argument("--fs", choices=FILESYSTEMS, default="pfs")
     fs_options.add_argument("--policies", choices=PPFSPolicies.presets(), default=None)
@@ -127,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="record causal span trees and print the per-kind "
                      "summary and critical-path attribution; with --save-dir "
                      "also writes <app>.spans.jsonl")
-    run.add_argument("--fidelity", choices=("event", "fluid"), default=None,
+    run.add_argument("--fidelity", choices=FIDELITIES, default=None,
                      help="execution fidelity: 'event' (discrete, "
                      "byte-identical; the default) or 'fluid' (closed-form "
                      "phase service, approximate but much faster)")
@@ -137,9 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", default=None, metavar="FILE",
                      help="trace file to replay (trace app only): JSONL/CSV "
                      "schema records or native SDDF")
-    run.add_argument("--think", choices=THINK_TIMES, default="preserve",
-                     help="trace app think time: preserve original gaps, "
-                     "none (back-to-back) or anchor (original start times)")
+    run.add_argument("--think", choices=THINK_TIMES, default=None,
+                     help="trace app think time: preserve original gaps "
+                     "(the default), none (back-to-back) or anchor (original "
+                     "start times)")
 
     char = sub.add_parser("characterize", help="report a saved SDDF trace")
     char.set_defaults(handler=_cmd_characterize)
@@ -184,15 +188,15 @@ def _build_parser() -> argparse.ArgumentParser:
     crun = csub.add_parser("run", help="expand a grid and execute it")
     crun.set_defaults(handler=_cmd_campaign_run)
     crun.add_argument("--name", default="campaign", help="campaign name")
-    crun.add_argument("--apps", type=_csv, default=sorted(APPLICATIONS),
+    crun.add_argument("--apps", type=csv_list, default=sorted(APPLICATIONS),
                       metavar="A,B", help="comma-separated application names")
-    crun.add_argument("--scales", type=_csv, default=["small"], metavar="S,S")
-    crun.add_argument("--fs", type=_csv, default=["pfs"], metavar="FS,FS",
+    crun.add_argument("--scales", type=csv_list, default=["small"], metavar="S,S")
+    crun.add_argument("--fs", type=csv_list, default=["pfs"], metavar="FS,FS",
                       help="file systems to sweep (pfs,ppfs)")
-    crun.add_argument("--policies", type=_csv, default=["none"], metavar="P,P",
+    crun.add_argument("--policies", type=csv_list, default=["none"], metavar="P,P",
                       help="PPFS presets; 'none' = no preset "
                       f"(known: {', '.join(PPFSPolicies.presets())})")
-    crun.add_argument("--seeds", type=_csv, default=["default"], metavar="N,N",
+    crun.add_argument("--seeds", type=csv_list, default=["default"], metavar="N,N",
                       help="machine RNG seeds; 'default' = calibrated seed")
     crun.add_argument("--set", action="append", type=_parse_override,
                       default=[], metavar="KEY=VALUE", dest="overrides",
@@ -206,27 +210,27 @@ def _build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--cache-dir", default=_DEFAULT_CACHE_DIR, metavar="DIR")
     crun.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
-    crun.add_argument("--faults", type=_csv, default=["none"], metavar="P,P",
+    crun.add_argument("--faults", type=csv_list, default=["none"], metavar="P,P",
                       help="fault-plan axis: comma-separated JSON file paths; "
                       "'none' = fault-free")
-    crun.add_argument("--telemetry", type=_csv, default=["none"],
+    crun.add_argument("--telemetry", type=csv_list, default=["none"],
                       metavar="C,C",
                       help="telemetry axis: comma-separated sampling cadences "
                       "in simulated seconds; 'none' = off")
-    crun.add_argument("--burst-buffers", type=_csv, default=["none"],
+    crun.add_argument("--burst-buffers", type=csv_list, default=["none"],
                       metavar="S,S",
                       help="burst-buffer axis: comma-separated log capacities "
                       "(e.g. none,16MB,64MB); 'none' = no tier")
-    crun.add_argument("--fidelities", type=_csv, default=["none"],
+    crun.add_argument("--fidelities", type=csv_list, default=["none"],
                       metavar="F,F",
                       help="fidelity axis: comma-separated from event,fluid; "
                       "'none'/'event' = discrete default")
-    crun.add_argument("--spans", type=_csv, default=["none"],
+    crun.add_argument("--spans", type=csv_list, default=["none"],
                       metavar="S,S",
                       help="spans axis: comma-separated from none,on — "
                       "enabled runs carry a per-kind span summary in the "
                       "manifest; 'none' = off")
-    crun.add_argument("--traces", type=_csv, default=["none"],
+    crun.add_argument("--traces", type=csv_list, default=["none"],
                       metavar="F,F",
                       help="ingested-trace axis (requires 'trace' in --apps): "
                       "comma-separated trace file paths; runs are cached by "
@@ -324,60 +328,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_fault_plan(text: str) -> FaultPlan:
     """A fault plan from a JSON file path or inline JSON text."""
-    if os.path.exists(text):
-        return FaultPlan.load(text)
-    return FaultPlan.from_json(text)
-
-
-def _fs_fields(args) -> Optional[dict]:
-    """The file-system fields ``--fs``/``--policies`` select, or None
-    (after reporting why) when policies are asked for without PPFS."""
-    if not args.policies:
-        return {"filesystem": args.fs}
-    if args.fs != "ppfs":
-        print("--policies requires --fs ppfs", file=sys.stderr)
-        return None
-    return {"filesystem": "ppfs", "policies": PPFSPolicies.from_name(args.policies)}
+    try:
+        return FaultPlan.load(text) if os.path.exists(text) else FaultPlan.from_json(text)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad fault plan: {exc}") from None
 
 
 def _cmd_run(args) -> int:
-    kwargs = _fs_fields(args)
-    if kwargs is None:
+    try:
+        experiment = RunSpec(
+            app=args.app, scale=args.scale, fs=args.fs, policy=args.policies,
+            overrides={} if args.think is None else {"think_time": args.think},
+            faults=_load_fault_plan(args.faults) if args.faults else None,
+            telemetry=_parse_number(args.telemetry),
+            burst_buffer=_parse_size(args.burst_buffer),
+            fidelity=args.fidelity, spans=args.spans, trace=args.input,
+        ).build_experiment()
+    except ValueError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
         return 2
-    if args.faults:
-        try:
-            kwargs["faults"] = _load_fault_plan(args.faults)
-        except (OSError, ValueError) as exc:
-            print(f"bad fault plan: {exc}", file=sys.stderr)
-            return 2
-    if args.telemetry is not None:
-        try:
-            kwargs["telemetry"] = (
-                True if args.telemetry is True else float(args.telemetry)
-            )
-        except ValueError:
-            print(f"bad telemetry cadence: {args.telemetry!r}", file=sys.stderr)
-            return 2
-    if args.burst_buffer is not None:
-        try:
-            kwargs["burst_buffer"] = (
-                True if args.burst_buffer is True else _parse_size(args.burst_buffer)
-            )
-        except argparse.ArgumentTypeError as exc:
-            print(f"bad burst-buffer capacity: {exc}", file=sys.stderr)
-            return 2
-    kwargs.update(fidelity=args.fidelity, spans=args.spans)
-    if args.app == "trace":
-        if not args.input:
-            print("the trace app needs --input FILE", file=sys.stderr)
-            return 2
-        kwargs["config"] = TraceReplayConfig(
-            source=args.input, think_time=args.think
-        )
-    elif args.input:
-        print("--input applies to the trace app only", file=sys.stderr)
-        return 2
-    result = scaled_experiment(args.app, args.scale, **kwargs).run()
+    result = experiment.run()
     for name, trace in result.traces.items():
         print(CharacterizationReport(trace).render())
         print()
@@ -462,10 +432,13 @@ def _cmd_replay(args) -> int:
 
 
 def _replay(args, trace: Trace) -> int:
-    fields = _fs_fields(args)
-    if fields is None:
+    try:
+        result = replay_trace(
+            trace, think_time=args.think, filesystem=args.fs, policies=args.policies
+        )
+    except ValueError as exc:
+        print(f"repro replay: {exc}", file=sys.stderr)
         return 2
-    result = replay_trace(trace, think_time=args.think, **fields)
     print(f"replayed {len(trace)} events from {trace.application!r}")
     print(f"I/O node-time ratio (new/original): {result.io_time_ratio:.3f}")
     print(f"makespan ratio (new/original):      {result.makespan_ratio:.3f}")
@@ -517,23 +490,16 @@ def _cmd_campaign_run(args) -> int:
             seeds=tuple(None if s == "default" else int(s) for s in args.seeds),
             overrides=dict(args.overrides),
             fault_plans=fault_plans,
-            telemetry=tuple(
-                None if c == "none" else float(c) for c in args.telemetry
-            ),
+            telemetry=tuple(None if c == "none" else _parse_number(c) for c in args.telemetry),
             burst_buffers=tuple(
-                None if s == "none" else _parse_size(s)
-                for s in args.burst_buffers
+                None if b == "none" else _parse_size(b) for b in args.burst_buffers
             ),
-            fidelities=tuple(
-                None if f in ("none", "event") else f for f in args.fidelities
-            ),
-            spans=tuple(
-                None if s in ("none", "off") else True for s in args.spans
-            ),
+            fidelities=tuple(None if f == "none" else f for f in args.fidelities),
+            spans=tuple(None if s in ("none", "off") else True for s in args.spans),
             traces=tuple(None if t == "none" else t for t in args.traces),
         )
         runs = spec.expand()
-    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         print(f"bad campaign grid: {exc}", file=sys.stderr)
         return 2
     try:
@@ -605,8 +571,8 @@ def _cmd_faults_report(args) -> int:
 def _cmd_faults_show(args) -> int:
     try:
         plan = _load_fault_plan(args.plan)
-    except (OSError, ValueError) as exc:
-        print(f"bad fault plan: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     print(plan.describe())
     return 0
@@ -685,17 +651,14 @@ def _cmd_telemetry_export(args) -> int:
     data = _load_capture("telemetry", args.file)
     if data is None:
         return 2
+    if args.format != "prom" and not data.get("series"):
+        print("capture has no sampled time series", file=sys.stderr)
+        return 2
     if args.format == "csv":
-        if not data.get("series"):
-            print("capture has no sampled time series", file=sys.stderr)
-            return 2
         text = series_to_csv(TimeSeries.from_dict(data["series"]), args.out)
     elif args.format == "chrome":
         from .spans.export import chrome_trace_json, telemetry_counter_events
 
-        if not data.get("series"):
-            print("capture has no sampled time series", file=sys.stderr)
-            return 2
         text = chrome_trace_json(telemetry_counter_events(data))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:

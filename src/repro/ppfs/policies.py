@@ -81,7 +81,7 @@ class PPFSPolicies:
         try:
             return _PRESETS[name]()
         except KeyError:
-            raise KeyError(
+            raise ValueError(
                 f"unknown policy preset {name!r}; pick from {sorted(_PRESETS)}"
             ) from None
 

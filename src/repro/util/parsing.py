@@ -10,7 +10,8 @@ _SIZE_SUFFIXES = {"KB": KB, "MB": MB, "GB": GB, "B": 1}
 
 
 def parse_size(text: str) -> int:
-    """A byte count like ``64MB``, ``1.5GB`` or a plain integer.
+    """A byte count like ``64MB``, ``1.5GB`` or a plain integer (the option
+    that takes it checks its range).
 
     >>> parse_size("64MB") == 64 * MB
     True
@@ -25,14 +26,11 @@ def parse_size(text: str) -> int:
     else:
         mult = 1
     try:
-        value = int(float(raw) * mult)
-    except ValueError:
+        return int(float(raw) * mult)
+    except (OverflowError, ValueError):
         raise ValueError(
             f"bad size {text!r} (expected e.g. 64MB, 1GB or a byte count)"
         ) from None
-    if value <= 0:
-        raise ValueError(f"size must be positive, got {text!r}")
-    return value
 
 
 def csv_list(text: str) -> list[str]:

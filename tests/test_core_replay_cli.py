@@ -164,7 +164,8 @@ class TestCli:
         assert cli_main(
             ["replay", f"{save_dir}/escat.sddf", "--policies", "escat_tuned"]
         ) == 2
-        assert "--policies requires --fs ppfs" in capsys.readouterr().err
+        assert ("policies require filesystem='ppfs', got filesystem='pfs'"
+                in capsys.readouterr().err)
 
     def test_htf_run_saves_three_traces(self, tmp_path, capsys):
         save_dir = str(tmp_path / "traces")
