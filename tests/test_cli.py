@@ -93,6 +93,62 @@ def test_bad_trace_file_is_a_typed_error(command, kind, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+class TestFaultsCommands:
+    def test_show_plan_file_and_inline_json(self, tmp_path, capsys):
+        from repro.cli import example_fault_plan
+
+        plan = example_fault_plan()
+        path = str(tmp_path / "plan.json")
+        plan.save(path)
+        assert cli_main(["faults", "show", path]) == 0
+        shown = capsys.readouterr().out
+        assert shown == plan.describe() + "\n"
+        assert cli_main(["faults", "show", plan.to_json()]) == 0
+        assert capsys.readouterr().out == shown
+
+    def test_show_bad_plan_is_usage_error(self, capsys):
+        assert cli_main(["faults", "show", "{not json"]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("bad fault plan: ") and out.out == ""
+
+    def test_example_round_trips(self, tmp_path, capsys):
+        from repro.cli import example_fault_plan
+        from repro.faults import FaultPlan
+
+        assert cli_main(["faults", "example"]) == 0
+        printed = FaultPlan.from_json(capsys.readouterr().out)
+        path = str(tmp_path / "plan.json")
+        assert cli_main(["faults", "example", "--out", path]) == 0
+        assert capsys.readouterr().out == f"fault plan written: {path}\n"
+        expected = example_fault_plan().canonical_json()
+        assert printed.canonical_json() == FaultPlan.load(path).canonical_json() == expected
+
+
+class TestTelemetryCommands:
+    @pytest.fixture(scope="class")
+    def capture(self, tmp_path_factory):
+        save_dir = str(tmp_path_factory.mktemp("telemetry"))
+        assert cli_main(["run", "escat", "--telemetry", "1", "--save-dir", save_dir]) == 0
+        return os.path.join(save_dir, "escat.telemetry.jsonl")
+
+    def test_report(self, capture, capsys):
+        assert cli_main(["telemetry", "report", capture]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("telemetry: ") and "samples: " in out
+
+    def test_show_lists_then_charts_a_column(self, capture, capsys):
+        assert cli_main(["telemetry", "show", capture]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "columns (pick with --column):" and len(lines) > 1
+        column = lines[1].strip()
+        assert cli_main(["telemetry", "show", capture, "--column", column]) == 0
+        assert capsys.readouterr().out.startswith(f"{column}  min=")
+
+    def test_show_unknown_column_is_usage_error(self, capture, capsys):
+        assert cli_main(["telemetry", "show", capture, "--column", "no.such"]) == 2
+        assert capsys.readouterr().err.startswith("unknown column 'no.such'; pick from: ")
+
+
 class TestCampaignCommands:
     ARGS = ["--apps", "escat", "--fs", "pfs,ppfs",
             "--policies", "none,escat_tuned", "--quiet"]
